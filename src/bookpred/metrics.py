@@ -52,7 +52,7 @@ def class_f1(confusion: np.ndarray, k: int) -> float:
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     if precision + recall == 0.0:
         return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return float(2.0 * precision * recall / (precision + recall))
 
 
 def weighted_f1(

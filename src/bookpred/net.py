@@ -10,6 +10,11 @@ checkpoint format:
 * ``book2vec`` — the same dense head applied directly to one averaged
   book vector.
 
+Every pass runs batch-first, one array pass per (B, n_chunks, dim)
+mini-batch; a single example is the B = 1 case. The convolution is one
+matmul per example against all kernels stacked into one matrix, plus
+shifted adds per window; backprop gathers the rows at each argmax.
+
 Everything is float64 numpy; backpropagation is exact (gradients are
 validated against central finite differences in the test suite).
 """
@@ -21,11 +26,10 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import SuccessLabel
 from .readability import ReadabilityScaler
@@ -53,11 +57,14 @@ N_CLASSES = 2
 
 # Class index convention: 0 = Unsuccessful, 1 = Successful.
 _LABEL_INDEX = {SuccessLabel.UNSUCCESSFUL: 0, SuccessLabel.SUCCESSFUL: 1}
-_INDEX_LABEL = {v: k for k, v in _LABEL_INDEX.items()}
 
 
 def label_index(label: SuccessLabel) -> int:
     return _LABEL_INDEX[label]
+
+
+def _label_indices(labels) -> np.ndarray:
+    return np.array([_LABEL_INDEX[label] for label in labels], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -106,16 +113,7 @@ class ModelConfig:
         return self.pooled_dim + (N_READABILITY if self.use_readability else 0)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "arch": self.arch,
-            "window_sizes": list(self.window_sizes),
-            "filters_per_window": self.filters_per_window,
-            "hidden_units": self.hidden_units,
-            "dropout_p": self.dropout_p,
-            "n_chunks": self.n_chunks,
-            "use_readability": self.use_readability,
-        }
+        return {**asdict(self), "window_sizes": list(self.window_sizes)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -149,15 +147,7 @@ class ModelParams:
         yield "dense2_b", self.dense2_b
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            conv_kernels=[k.copy() for k in self.conv_kernels],
-            conv_biases=[b.copy() for b in self.conv_biases],
-            dense1_w=self.dense1_w.copy(),
-            dense1_b=self.dense1_b.copy(),
-            dense2_w=self.dense2_w.copy(),
-            dense2_b=self.dense2_b.copy(),
-        )
+        return self.with_tensors({name: t.copy() for name, t in self.tensors()})
 
     def with_tensors(self, new: dict[str, np.ndarray]) -> "ModelParams":
         kernels = [new[f"conv{w}_kernel"] for w in self.config.window_sizes]
@@ -175,18 +165,29 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates recorded by a train-mode forward pass for backprop."""
+    """Intermediates of a forward pass, for backprop. Per-example arrays
+    lead with a batch axis of length B, squeezed out for a single example."""
 
-    x: np.ndarray
-    windows: list[np.ndarray]  # per window: (T, w*input_dim) im2col view
-    conv_pre: list[np.ndarray]  # per window: (T, filters) pre-ReLU maps
-    argmax: list[np.ndarray]  # per window: (filters,) max-over-time index
-    pooled: np.ndarray  # concatenated pooled features, pre-dropout
-    keep_mask: np.ndarray | None  # dropout keep mask (train mode, p > 0)
-    fused: np.ndarray  # vector entering dense1
-    z1: np.ndarray  # dense1 pre-activation
-    h: np.ndarray  # dense1 post-ReLU
-    train_mode: bool
+    x: np.ndarray  # the input array as given to forward (batch axis first)
+    rows: np.ndarray  # (B,) row of x holding each batch example
+    argmax: list[np.ndarray]  # per window: (B, filters) max-over-time index
+    pooled: np.ndarray  # (B, pooled_dim) concatenated pooled features, pre-dropout
+    keep_mask: np.ndarray | None  # (B, pooled_dim) dropout keep mask (train mode, p > 0)
+    fused: np.ndarray  # (B, fused_dim) rows entering dense1
+    z1: np.ndarray  # (B, hidden_units) dense1 pre-activation
+    h: np.ndarray  # (B, hidden_units) dense1 post-ReLU
+
+    def per_example(self, fn) -> "ForwardCache":
+        """The cache with ``fn`` applied to every per-example array."""
+        return replace(
+            self,
+            argmax=[fn(a) for a in self.argmax],
+            pooled=fn(self.pooled),
+            keep_mask=None if self.keep_mask is None else fn(self.keep_mask),
+            fused=fn(self.fused),
+            z1=fn(self.z1),
+            h=fn(self.h),
+        )
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -237,92 +238,80 @@ def build_book2vec(input_dim: int, hidden_units: int = 50, seed: int = 0) -> Mod
     return init_params(config, seed)
 
 
-def _run_forward(
-    params: ModelParams,
-    x: np.ndarray,
-    readability_scaled: np.ndarray | None,
-    train_mode: bool,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, ForwardCache]:
-    cfg = params.config
+def _as_batch(cfg: ModelConfig, x, readability_scaled, rows):
+    """Validate the inputs and give them a batch axis: returns (x, the batch's
+    readability rows or None, the rows of x in the batch, whether one example
+    was passed)."""
     x = np.asarray(x, dtype=float)
+    shape = (cfg.input_dim,) if cfg.arch == "book2vec" else (cfg.n_chunks, cfg.input_dim)
+    single = x.ndim == len(shape)
+    x = x[None] if single else x
+    if x.shape[1:] != shape:
+        raise ValueError(f"expected input shape {shape}, got {x.shape[1:]}")
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows, dtype=int)
+    fuses = cfg.arch == "cnn" and cfg.use_readability
+    if (readability_scaled is not None) != fuses:
+        raise ValueError(f"{cfg.arch} model was configured with use_readability={fuses}")
+    if not fuses:
+        return x, None, rows, single
+    readability = np.asarray(readability_scaled, dtype=float)
+    readability = readability[None] if single else readability
+    if readability.shape != (len(x), N_READABILITY):
+        raise ValueError(
+            f"readability vector must have shape ({N_READABILITY},), got {readability.shape[1:]}"
+        )
+    return x, readability[rows], rows, single
 
+
+def _forward(params, x, readability, rows, train_mode, rng) -> tuple[np.ndarray, ForwardCache]:
+    """(B, 2) logits and the cache for the examples ``x[rows]``."""
+    cfg = params.config
+    argmax: list[np.ndarray] = []
+    keep_mask = None
     if cfg.arch == "book2vec":
-        if readability_scaled is not None:
-            raise ValueError("book2vec does not take readability inputs")
-        if x.shape != (cfg.input_dim,):
-            raise ValueError(f"expected input shape ({cfg.input_dim},), got {x.shape}")
-        fused = x
-        windows: list[np.ndarray] = []
-        conv_pre: list[np.ndarray] = []
-        argmax: list[np.ndarray] = []
-        pooled = np.zeros(0)
-        keep_mask = None
+        fused = x[rows]
+        pooled = np.zeros((len(rows), 0))
     else:
-        if x.shape != (cfg.n_chunks, cfg.input_dim):
-            raise ValueError(
-                f"expected input shape ({cfg.n_chunks}, {cfg.input_dim}), got {x.shape}"
-            )
-        if cfg.use_readability:
-            if readability_scaled is None:
-                raise ValueError("model was configured with use_readability=True")
-            readability_scaled = np.asarray(readability_scaled, dtype=float)
-            if readability_scaled.shape != (N_READABILITY,):
-                raise ValueError(
-                    f"readability vector must have shape ({N_READABILITY},), "
-                    f"got {readability_scaled.shape}"
-                )
-        elif readability_scaled is not None:
-            raise ValueError("model was configured with use_readability=False")
-
-        windows = []
-        conv_pre = []
-        argmax = []
+        # (input_dim, sum of w*filters): window w owns w*filters columns,
+        # shift s of its filter j in column s*filters + j
+        kernels = np.concatenate(
+            [k.transpose(1, 0, 2).reshape(-1, k.shape[2]) for k in params.conv_kernels]
+        ).T
+        # one matmul per example reads x in place; x[rows] would copy the batch
+        conv = np.empty((len(rows), cfg.n_chunks, kernels.shape[1]))
+        for b, i in enumerate(rows):
+            np.matmul(x[i], kernels, out=conv[b])
         pooled_parts = []
         f = cfg.filters_per_window
-        for w, kernel, bias in zip(cfg.window_sizes, params.conv_kernels, params.conv_biases):
+        col = 0
+        for w, bias in zip(cfg.window_sizes, params.conv_biases):
+            # window w at time t sums shift s's response at chunk t + s
             t = cfg.n_chunks - w + 1
-            win = sliding_window_view(x, (w, cfg.input_dim)).reshape(t, w * cfg.input_dim)
-            pre = win @ kernel.reshape(f, -1).T + bias  # (t, filters)
-            relu_map = np.maximum(pre, 0.0)
-            idx = np.argmax(relu_map, axis=0)  # ties break to the lowest index
-            windows.append(win)
-            conv_pre.append(pre)
+            pre = conv[:, :t, col : col + f].copy()
+            for s in range(1, w):
+                pre += conv[:, s : s + t, col + s * f : col + (s + 1) * f]
+            pre += bias
+            col += w * f
+            relu_map = np.maximum(pre, 0.0, out=pre)  # (B, t, filters)
+            idx = np.argmax(relu_map, axis=1)  # ties break to the lowest index
             argmax.append(idx)
-            pooled_parts.append(relu_map[idx, np.arange(f)])
-        pooled = np.concatenate(pooled_parts)
+            pooled_parts.append(np.take_along_axis(relu_map, idx[:, None], axis=1)[:, 0])
+        pooled = np.concatenate(pooled_parts, axis=1)
 
+        dropped = pooled
         if train_mode and cfg.dropout_p > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             keep_prob = 1.0 - cfg.dropout_p
+            # one (B, P) draw is the same stream as B draws of P
             keep_mask = rng.random(pooled.shape) < keep_prob
             dropped = pooled * keep_mask / keep_prob
-        else:
-            keep_mask = None
-            dropped = pooled
+        fused = dropped if readability is None else np.concatenate([dropped, readability], 1)
 
-        if cfg.use_readability:
-            fused = np.concatenate([dropped, readability_scaled])
-        else:
-            fused = dropped
-
-    z1 = params.dense1_w @ fused + params.dense1_b
+    z1 = fused @ params.dense1_w.T + params.dense1_b
     h = np.maximum(z1, 0.0)
-    logits = params.dense2_w @ h + params.dense2_b
-    cache = ForwardCache(
-        x=x,
-        windows=windows,
-        conv_pre=conv_pre,
-        argmax=argmax,
-        pooled=pooled,
-        keep_mask=keep_mask,
-        fused=fused,
-        z1=z1,
-        h=h,
-        train_mode=train_mode,
-    )
-    return logits, cache
+    logits = h @ params.dense2_w.T + params.dense2_b
+    return logits, ForwardCache(x, rows, argmax, pooled, keep_mask, fused, z1, h)
 
 
 def forward(
@@ -331,95 +320,100 @@ def forward(
     readability_scaled: np.ndarray | None = None,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Compute the 2 logits; in train mode also return the backprop cache.
+    """Compute the logits; in train mode also return the backprop cache.
 
-    ``readability_scaled`` must be the already-scaled 5-vector and is
-    required exactly when the model was built with readability fusion.
-    Eval-mode output is a pure function of (params, inputs).
+    ``x`` is one example, (n_chunks, input_dim) for the cnn or
+    (input_dim,) for book2vec, giving 2 logits, or a batch of examples
+    along a leading axis, giving (B, 2); ``rows`` picks the batch out of
+    ``x`` without copying it. ``readability_scaled`` (the already-scaled
+    5-vector per example) is required exactly when the model was built
+    with readability fusion. Eval-mode output is a pure function of
+    (params, inputs).
     """
-    logits, cache = _run_forward(params, x, readability_scaled, train_mode, rng)
-    return logits, (cache if train_mode else None)
+    x, readability, rows, single = _as_batch(params.config, x, readability_scaled, rows)
+    logits, cache = _forward(params, x, readability, rows, train_mode, rng)
+    if single:
+        cache = cache.per_example(lambda a: a[0])
+    return (logits[0] if single else logits), (cache if train_mode else None)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss(logits: np.ndarray, label: SuccessLabel) -> float:
+def loss(logits: np.ndarray, label):
     """Softmax cross-entropy over the 2 logits (natural log),
-    log-sum-exp stabilized."""
+    log-sum-exp stabilized; for (B, 2) logits and B labels, the B
+    per-example losses."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label_index(label)])
+    single = logits.ndim == 1
+    batch = logits.reshape(-1, N_CLASSES)
+    shifted = batch - batch.max(axis=1, keepdims=True)
+    labels = _label_indices([label] if single else label)
+    losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(len(batch)), labels]
+    return float(losses[0]) if single else losses
 
 
-def _backward_from_dlogits(
-    params: ModelParams, cache: ForwardCache, dlogits: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Reverse-mode pass from a gradient on the logits.
-
-    Returns per-tensor gradients plus the gradient with respect to the
-    5 readability inputs (None when the model does not fuse them).
-    """
-    cfg = params.config
-    grads: dict[str, np.ndarray] = {}
-
-    grads["dense2_w"] = np.outer(dlogits, cache.h)
-    grads["dense2_b"] = dlogits.copy()
-    dh = params.dense2_w.T @ dlogits
-    dz1 = dh * (cache.z1 > 0.0)
-    grads["dense1_w"] = np.outer(dz1, cache.fused)
-    grads["dense1_b"] = dz1.copy()
-    dfused = params.dense1_w.T @ dz1
-
-    if cfg.arch == "book2vec":
-        return grads, None
-
-    if cfg.use_readability:
-        d_readability = dfused[-N_READABILITY:].copy()
-        d_dropped = dfused[:-N_READABILITY]
-    else:
-        d_readability = None
-        d_dropped = dfused
-
-    if cache.keep_mask is not None:
-        dpooled = d_dropped * cache.keep_mask / (1.0 - cfg.dropout_p)
-    else:
-        dpooled = d_dropped
-
-    # Max-over-time routes each filter's gradient to its argmax time step
-    # only, and the ReLU gate zeroes it when that step's pre-activation
-    # is not positive, so the kernel gradient is one window row per filter.
-    f = cfg.filters_per_window
-    offset = 0
-    for i, w in enumerate(cfg.window_sizes):
-        g = dpooled[offset : offset + f]
-        offset += f
-        idx = cache.argmax[i]
-        gate = cache.conv_pre[i][idx, np.arange(f)] > 0.0
-        g_eff = g * gate
-        dk_flat = g_eff[:, None] * cache.windows[i][idx]  # (filters, w*dim)
-        grads[f"conv{w}_kernel"] = dk_flat.reshape(f, w, cfg.input_dim)
-        grads[f"conv{w}_bias"] = g_eff
-    return grads, d_readability
+def _backprop_dense(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray):
+    """Per-example gradients on the dense1 pre-activation and on the fused
+    rows, from (B, 2) gradients on the logits."""
+    dz1 = (dlogits @ params.dense2_w) * (cache.z1 > 0.0)
+    return dz1, dz1 @ params.dense1_w
 
 
 def backward(
-    params: ModelParams, cache: ForwardCache, label: SuccessLabel
+    params: ModelParams, cache: ForwardCache, label
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Exact gradients of the cross-entropy loss for every tensor,
     plus the gradient with respect to the readability inputs.
 
-    The cache must come from a train-mode forward on the same params;
-    the dropout mask is replayed from it.
+    For a batch, ``label`` holds the B labels, the tensor gradients are
+    the batch mean and the readability gradients are per example, (B, 5).
+    The cache must come from a train-mode forward on the same params; the
+    dropout mask is replayed from it.
     """
-    probs = _softmax(params.dense2_w @ cache.h + params.dense2_b)
-    dlogits = probs.copy()
-    dlogits[label_index(label)] -= 1.0
-    return _backward_from_dlogits(params, cache, dlogits)
+    cfg = params.config
+    single = cache.h.ndim == 1
+    if single:
+        cache = cache.per_example(lambda a: a[None])
+    labels = _label_indices([label] if single else label)
+    dlogits = _softmax(cache.h @ params.dense2_w.T + params.dense2_b)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dz1, dfused = _backprop_dense(params, cache, dlogits)
+    scale = 1.0 / len(labels)
+    grads = {
+        "dense2_w": (dlogits.T @ cache.h) * scale,
+        "dense2_b": dlogits.sum(axis=0) * scale,
+        "dense1_w": (dz1.T @ cache.fused) * scale,
+        "dense1_b": dz1.sum(axis=0) * scale,
+    }
+    if cfg.arch == "book2vec":
+        return grads, None
+
+    p = cfg.pooled_dim
+    d_readability = dfused[:, p:] if cfg.use_readability else None
+    dpooled = dfused[:, :p]
+    if cache.keep_mask is not None:
+        dpooled = dpooled * cache.keep_mask / (1.0 - cfg.dropout_p)
+    # Max-over-time routes each filter's gradient to its argmax time step
+    # only, and the ReLU gate zeroes it when that step's pre-activation is
+    # not positive (exactly when the pooled value is 0), so the kernel
+    # gradient gathers one window of input rows per example and filter.
+    g_all = dpooled * (cache.pooled > 0.0)
+    rows = cache.rows[:, None]
+    f = cfg.filters_per_window
+    for i, w in enumerate(cfg.window_sizes):
+        g = g_all[:, i * f : (i + 1) * f]  # (B, filters)
+        kernel = np.empty((f, w, cfg.input_dim))
+        for s in range(w):
+            kernel[:, s] = np.einsum("bj,bjd->jd", g, cache.x[rows, cache.argmax[i] + s])
+        grads[f"conv{w}_kernel"] = kernel * scale
+        grads[f"conv{w}_bias"] = g.sum(axis=0) * scale
+    return grads, (d_readability[0] if single and d_readability is not None else d_readability)
 
 
 def readability_output_gradient(
@@ -429,7 +423,7 @@ def readability_output_gradient(
     target: str = "logit",
 ) -> np.ndarray:
     """Gradient of the Successful output with respect to the 5 scaled
-    readability inputs, in eval mode (no dropout).
+    readability inputs, in eval mode (no dropout); (B, 5) for a batch.
 
     ``target="logit"`` differentiates the Successful-class logit;
     ``target="probability"`` differentiates its softmax probability.
@@ -438,20 +432,19 @@ def readability_output_gradient(
         raise ValueError("model was trained without readability fusion")
     if target not in ("logit", "probability"):
         raise ValueError(f"unknown attribution target {target!r}")
-    logits, cache = _run_forward(params, x, readability_scaled, train_mode=False, rng=None)
+    x, readability, rows, single = _as_batch(params.config, x, readability_scaled, None)
+    logits, cache = _forward(params, x, readability, rows, train_mode=False, rng=None)
     success = label_index(SuccessLabel.SUCCESSFUL)
     other = 1 - success
+    dlogits = np.zeros_like(logits)
     if target == "logit":
-        dlogits = np.zeros(N_CLASSES)
-        dlogits[success] = 1.0
+        dlogits[:, success] = 1.0
     else:
         p = _softmax(logits)
-        dlogits = np.zeros(N_CLASSES)
-        dlogits[success] = p[success] * (1.0 - p[success])
-        dlogits[other] = -p[success] * p[other]
-    _, d_readability = _backward_from_dlogits(params, cache, dlogits)
-    assert d_readability is not None
-    return d_readability
+        dlogits[:, success] = p[:, success] * (1.0 - p[:, success])
+        dlogits[:, other] = -p[:, success] * p[:, other]
+    d_readability = _backprop_dense(params, cache, dlogits)[1][:, -N_READABILITY:]
+    return d_readability[0] if single else d_readability
 
 
 @dataclass
@@ -467,17 +460,10 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def zeros(
-        cls,
-        params: ModelParams,
-        lr: float = 0.0009,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def zeros(cls, params: ModelParams) -> "AdamState":
         m = {name: np.zeros_like(t) for name, t in params.tensors()}
         v = {name: np.zeros_like(t) for name, t in params.tensors()}
-        return cls(t=0, m=m, v=v, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(t=0, m=m, v=v)
 
 
 def adam_step(
@@ -508,17 +494,20 @@ def predict(
     params: ModelParams,
     x: np.ndarray,
     readability_scaled: np.ndarray | None = None,
-) -> tuple[SuccessLabel, float]:
-    """Eval-mode prediction: (label, probability of that label).
+):
+    """Eval-mode prediction: (label, probability of that label); for a
+    batch, a list of B such pairs.
 
     Ties go to Successful, the majority class.
     """
-    logits, _ = _run_forward(params, x, readability_scaled, train_mode=False, rng=None)
-    p = _softmax(logits)
+    x, readability, rows, single = _as_batch(params.config, x, readability_scaled, None)
+    p = _softmax(_forward(params, x, readability, rows, train_mode=False, rng=None)[0])
     success = label_index(SuccessLabel.SUCCESSFUL)
-    if p[success] >= p[1 - success]:
-        return SuccessLabel.SUCCESSFUL, float(p[success])
-    return SuccessLabel.UNSUCCESSFUL, float(p[1 - success])
+    preds = [
+        (SuccessLabel.SUCCESSFUL, ps) if ps >= po else (SuccessLabel.UNSUCCESSFUL, po)
+        for ps, po in zip(p[:, success].tolist(), p[:, 1 - success].tolist())
+    ]
+    return preds[0] if single else preds
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +572,8 @@ def load_checkpoint(
     try:
         meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
+        has_scaler = bool(meta["has_scaler"])
+        extra = meta["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc})") from None
     offset += meta_len
@@ -600,7 +591,7 @@ def load_checkpoint(
     params = template.with_tensors(tensors)
 
     scaler = None
-    if meta["has_scaler"]:
+    if has_scaler:
         end = offset + 8 * 2 * N_READABILITY
         if len(raw) < end:
             raise CheckpointError(f"{path}: truncated scaler")
@@ -612,4 +603,4 @@ def load_checkpoint(
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return params, scaler, meta["extra"]
+    return params, scaler, extra

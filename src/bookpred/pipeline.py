@@ -141,13 +141,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class BookFeatures:
-    record: BookRecord
-    x: np.ndarray  # (n_chunks, dim) for cnn, (dim,) for book2vec
-    readability_raw: ReadabilityVector | None
-
-
 def _load_sentences(record: BookRecord):
     try:
         text = record.text_path.read_text(encoding="utf-8")
@@ -178,7 +171,7 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
 
 def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
-) -> BookFeatures:
+) -> tuple[np.ndarray, ReadabilityVector | None]:
     """Model inputs for one book: section-selected chunk sequence (or
     averaged vector for book2vec) plus its raw readability scores."""
     matrix = _section_matrix(record, cfg)
@@ -193,17 +186,28 @@ def featurize_book(
             readability = readability_vector(counts_from_sentences(sentences))
         except ValueError as exc:
             raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
-    return BookFeatures(record=record, x=x, readability_raw=readability)
+    return x, readability
 
 
 def featurize_corpus(
     corpus: CorpusSet, cfg: TrainConfig, need_readability: bool = True
-) -> list[BookFeatures]:
-    feats = [featurize_book(r, cfg, need_readability=need_readability) for r in corpus]
-    dims = {f.x.shape[-1] for f in feats}
-    if len(dims) > 1:
-        raise FeaturizationError(f"inconsistent embedding dims across corpus: {sorted(dims)}")
-    return feats
+) -> tuple[np.ndarray, list[ReadabilityVector] | None]:
+    """Model inputs for every book, in corpus order: one preallocated
+    (N, n_chunks, dim) array ((N, dim) for book2vec), filled book by book,
+    plus the raw readability scores when asked for."""
+    x = np.zeros((0,))
+    readability = [] if need_readability else None
+    for i, record in enumerate(corpus):
+        book_x, book_readability = featurize_book(record, cfg, need_readability)
+        if i == 0:
+            x = np.empty((len(corpus),) + book_x.shape)
+        elif book_x.shape != x.shape[1:]:
+            dims = sorted({x.shape[-1], book_x.shape[-1]})
+            raise FeaturizationError(f"inconsistent embedding dims across corpus: {dims}")
+        x[i] = book_x
+        if readability is not None:
+            readability.append(book_readability)
+    return x, readability
 
 
 @dataclass(frozen=True)
@@ -223,11 +227,27 @@ class TrainResult:
 
 
 def _scaled_inputs(
-    feats: list[BookFeatures], scaler: ReadabilityScaler | None
-) -> list[np.ndarray | None]:
+    readability_raw: list[ReadabilityVector] | None, scaler: ReadabilityScaler | None
+) -> np.ndarray | None:
+    """(N, 5) scaled readability rows, or None without a scaler."""
     if scaler is None:
-        return [None] * len(feats)
-    return [apply_scaler(scaler, f.readability_raw).as_array() for f in feats]
+        return None
+    return np.array([apply_scaler(scaler, r).as_array() for r in readability_raw])
+
+
+def _blocks(n: int, size: int):
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
+def _predict_blocks(
+    params: ModelParams, x: np.ndarray, scaled: np.ndarray | None, size: int
+) -> list[tuple[SuccessLabel, float]]:
+    """Eval-mode (label, probability) for every row of ``x``, one pass per block."""
+    return [
+        pred
+        for block in _blocks(len(x), size)
+        for pred in net.predict(params, x[block], None if scaled is None else scaled[block])
+    ]
 
 
 def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
@@ -243,16 +263,14 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     train_set, val_set = split_train_val(corpus, cfg.val_fraction, cfg.seed)
 
     use_readability = cfg.model.arch == "cnn" and cfg.model.use_readability
-    feats_train = featurize_corpus(train_set, cfg, need_readability=use_readability)
-    feats_val = featurize_corpus(val_set, cfg, need_readability=use_readability)
+    x_train, raw_train = featurize_corpus(train_set, cfg, need_readability=use_readability)
+    x_val, raw_val = featurize_corpus(val_set, cfg, need_readability=use_readability)
 
-    scaler = None
-    if use_readability:
-        scaler = fit_scaler([f.readability_raw for f in feats_train])
-    r_train = _scaled_inputs(feats_train, scaler)
-    r_val = _scaled_inputs(feats_val, scaler)
+    scaler = fit_scaler(raw_train) if use_readability else None
+    r_train = _scaled_inputs(raw_train, scaler)
+    r_val = _scaled_inputs(raw_val, scaler)
 
-    input_dim = feats_train[0].x.shape[-1]
+    input_dim = x_train.shape[-1]
     model_cfg = cfg.model.to_model_config(input_dim=input_dim, n_chunks=cfg.n_chunks)
 
     root = np.random.SeedSequence(cfg.seed)
@@ -262,48 +280,35 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     rng_dropout = np.random.default_rng(dropout_ss)
     adam = net.AdamState.zeros(params)
 
-    x_train = [f.x for f in feats_train]
-    y_train = [f.record.label for f in feats_train]
-    x_val = [f.x for f in feats_val]
-    y_val = [f.record.label for f in feats_val]
+    y_train = [r.label for r in train_set]
+    y_val = [r.label for r in val_set]
 
     history: list[EpochStats] = []
     best_f1 = -1.0
     best_epoch = 0
     best_params = params.copy()
 
-    n_train = len(x_train)
+    n_train = len(train_set)
     for epoch in range(1, cfg.epochs + 1):
         order = rng_shuffle.permutation(n_train)
-        epoch_losses: list[float] = []
-        for start in range(0, n_train, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grad_sum: dict[str, np.ndarray] | None = None
-            for i in batch:
-                logits, cache = net.forward(
-                    params, x_train[i], r_train[i], train_mode=True, rng=rng_dropout
-                )
-                epoch_losses.append(net.loss(logits, y_train[i]))
-                grads, _ = net.backward(params, cache, y_train[i])
-                if grad_sum is None:
-                    grad_sum = grads
-                else:
-                    for name in grad_sum:
-                        grad_sum[name] += grads[name]
-            scale = 1.0 / len(batch)
-            for name in grad_sum:
-                grad_sum[name] *= scale
-            if not all(np.isfinite(g).all() for g in grad_sum.values()):
+        epoch_losses: list[np.ndarray] = []
+        for batch in _blocks(n_train, cfg.batch_size):
+            rows = order[batch]
+            labels = [y_train[i] for i in rows]
+            logits, cache = net.forward(
+                params, x_train, r_train, train_mode=True, rng=rng_dropout, rows=rows
+            )
+            epoch_losses.append(net.loss(logits, labels))
+            grads, _ = net.backward(params, cache, labels)
+            if not all(np.isfinite(g).all() for g in grads.values()):
                 raise TrainingDivergedError(f"non-finite gradients at epoch {epoch}")
-            params, adam = net.adam_step(params, grad_sum, adam)
+            params, adam = net.adam_step(params, grads, adam)
 
-        train_loss = float(np.mean(epoch_losses))
+        train_loss = float(np.mean(np.concatenate(epoch_losses)))
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        val_preds = [
-            net.predict(params, x, r)[0] for x, r in zip(x_val, r_val)
-        ]
-        val_f1 = weighted_f1(val_preds, y_val)
+        val_preds = _predict_blocks(params, x_val, r_val, cfg.batch_size)
+        val_f1 = weighted_f1([label for label, _ in val_preds], y_val)
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_weighted_f1=val_f1))
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -353,22 +358,19 @@ def predict_corpus(
     use_readability = params.config.use_readability
     if use_readability and scaler is None:
         raise ValueError("model uses readability but no scaler was provided")
-    feats = featurize_corpus(corpus, cfg, need_readability=use_readability)
-    scaled = _scaled_inputs(feats, scaler if use_readability else None)
-    out = []
-    for f, r in zip(feats, scaled):
-        label, prob = net.predict(params, f.x, r)
-        p_success = prob if label == SuccessLabel.SUCCESSFUL else 1.0 - prob
-        out.append(
-            BookPrediction(
-                book_id=f.record.book_id,
-                genre=f.record.genre,
-                gold=f.record.label,
-                pred=label,
-                p_successful=p_success,
-            )
+    x, raw = featurize_corpus(corpus, cfg, need_readability=use_readability)
+    scaled = _scaled_inputs(raw, scaler if use_readability else None)
+    preds = _predict_blocks(params, x, scaled, cfg.batch_size)
+    return [
+        BookPrediction(
+            book_id=record.book_id,
+            genre=record.genre,
+            gold=record.label,
+            pred=label,
+            p_successful=prob if label == SuccessLabel.SUCCESSFUL else 1.0 - prob,
         )
-    return out
+        for record, (label, prob) in zip(corpus, preds)
+    ]
 
 
 @dataclass
@@ -440,14 +442,18 @@ def attribute_readability(
     scaled readability inputs over the test books (eval mode)."""
     if not params.config.use_readability:
         raise ValueError("model was trained without readability fusion")
+    if scaler is None:
+        raise ValueError("model uses readability but no scaler was provided")
     _check_featurization_match(params, cfg)
-    feats = featurize_corpus(test, cfg, need_readability=True)
-    scaled = _scaled_inputs(feats, scaler)
-    total = np.zeros(net.N_READABILITY)
-    for f, r in zip(feats, scaled):
-        total += net.readability_output_gradient(params, f.x, r, target=target)
+    x, raw = featurize_corpus(test, cfg, need_readability=True)
+    scaled = _scaled_inputs(raw, scaler)
+    grads = np.empty((len(test), net.N_READABILITY))
+    for block in _blocks(len(test), cfg.batch_size):
+        grads[block] = net.readability_output_gradient(
+            params, x[block], scaled[block], target=target
+        )
     return AttributionReport(
-        mean_gradient=total / len(feats), n_books=len(feats), target=target
+        mean_gradient=grads.sum(axis=0) / len(test), n_books=len(test), target=target
     )
 
 

@@ -333,18 +333,18 @@ def test_criterion_07_attribution_soundness(readability_corpus, readability_run)
     run = readability_run["with"]
     params = run["result"].params
     cfg = run["cfg"]
-    feats = pipeline.featurize_corpus(test, cfg)
-    scaled = pipeline._scaled_inputs(feats, run["result"].scaler)
+    x_all, raw = pipeline.featurize_corpus(test, cfg)
+    scaled = pipeline._scaled_inputs(raw, run["result"].scaler)
     fd_ok = True
     eps = 1e-4
-    for f, r in list(zip(feats, scaled))[:5]:
-        grad = net.readability_output_gradient(params, f.x, r)
+    for x, r in list(zip(x_all, scaled))[:5]:
+        grad = net.readability_output_gradient(params, x, r)
         for i in range(5):
             up, down = r.copy(), r.copy()
             up[i] += eps
             down[i] -= eps
-            hi = net.forward(params, f.x, up)[0][1]
-            lo = net.forward(params, f.x, down)[0][1]
+            hi = net.forward(params, x, up)[0][1]
+            lo = net.forward(params, x, down)[0][1]
             numeric = (hi - lo) / (2 * eps)
             if rel_error(numeric, grad[i]) >= 1e-4:
                 fd_ok = False

@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+import struct
 
 import pytest
 
@@ -191,6 +193,28 @@ class TestTrainEvalFlow:
         assert [l.split(",")[0] for l in lines] == [
             "name", "fres", "fkg", "smog", "cli", "ari", "n_books",
         ]
+
+    @pytest.mark.parametrize("key", ["has_scaler", "extra"])
+    def test_checkpoint_missing_meta_key_exits_one(
+        self, corpus_dir, checkpoint, tmp_path, capsys, key
+    ):
+        raw = (checkpoint / "model.bpmd").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12 : 12 + meta_len])
+        del meta[key]
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        broken = tmp_path / "broken.bpmd"
+        broken.write_bytes(
+            raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :]
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(broken),
+            "--manifest", str(corpus_dir / "manifest.csv"),
+        )
+        assert code == 1
+        assert "bad metadata" in err and key in err
 
     def test_book2vec_checkpoint_flows_through_eval(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "b2v.bpmd"

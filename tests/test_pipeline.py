@@ -181,17 +181,17 @@ class TestAttribution:
     def test_gradients_match_finite_differences(self, tiny_corpus):
         cfg = fast_cfg(epochs=2)
         result = train(tiny_corpus, cfg)
-        feats = pipeline.featurize_corpus(tiny_corpus, cfg)
-        scaled = pipeline._scaled_inputs(feats, result.scaler)
+        x_all, raw = pipeline.featurize_corpus(tiny_corpus, cfg)
+        scaled = pipeline._scaled_inputs(raw, result.scaler)
         eps = 1e-5
-        for f, r in list(zip(feats, scaled))[:4]:
-            grad = net.readability_output_gradient(result.params, f.x, r)
+        for x, r in list(zip(x_all, scaled))[:4]:
+            grad = net.readability_output_gradient(result.params, x, r)
             for i in range(5):
                 up, down = r.copy(), r.copy()
                 up[i] += eps
                 down[i] -= eps
-                lo = net.forward(result.params, f.x, down)[0][1]
-                hi = net.forward(result.params, f.x, up)[0][1]
+                lo = net.forward(result.params, x, down)[0][1]
+                hi = net.forward(result.params, x, up)[0][1]
                 numeric = (hi - lo) / (2 * eps)
                 assert grad[i] == pytest.approx(numeric, rel=1e-4, abs=1e-9)
 
@@ -286,6 +286,19 @@ class TestReportSerialization:
         assert f"n,{report.n}" in csv_text
         human = pipeline.eval_report_text(report)
         assert "weighted F1" in human
+
+    def test_report_and_history_values_are_plain_numbers(self, tiny_corpus, tmp_path):
+        cfg = fast_cfg(epochs=2)
+        result = train(tiny_corpus, cfg)
+        path = tmp_path / "history.csv"
+        pipeline.write_history_csv(result.history, path)
+        history_rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
+        report = evaluate(result.params, result.scaler, tiny_corpus, cfg)
+        report_rows = pipeline.eval_report_csv(report).strip().splitlines()[1:]
+        values = [v for row in history_rows for v in row.split(",")]
+        values += [row.split(",")[1] for row in report_rows]
+        for value in values:
+            float(value)
 
     def test_attribution_csv_lists_indices_in_order(self, tiny_corpus):
         cfg = fast_cfg(epochs=1)
