@@ -17,13 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import net, pipeline
-from .corpus import (
-    ManifestError,
-    SectionSpec,
-    SuccessLabel,
-    load_corpus,
-    select_section,
-)
+from .corpus import ManifestError, SectionSpec, SuccessLabel, load_corpus
 from .embedding import SembError, encode_hashed_bow, write_embeddings
 from .metrics import mcnemar
 from .pipeline import (
@@ -34,7 +28,7 @@ from .pipeline import (
     TrainingDivergedError,
 )
 from .readability import INDEX_NAMES, readability_vector
-from .textstats import compute_counts, counts_from_sentences, segment_sentences
+from .textstats import compute_counts, counts_from_sentences
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -188,20 +182,20 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
 
     Returns (book_id, payload, error_message); books fail independently.
     """
-    record, (dim, enc_seed), section_text, out_dir = task
+    record, encoder, section, out_dir = task
     try:
-        text = record.text_path.read_text(encoding="utf-8")
-        sentences = select_section(segment_sentences(text), SectionSpec.parse(section_text))
+        sentences = pipeline.section_sentences(record, section)
         if not sentences:
             return record.book_id, None, "no sentences"
-        matrix = encode_hashed_bow([s.text for s in sentences], dim=dim, seed=enc_seed)
+        texts = [s.text for s in sentences]
+        matrix = encode_hashed_bow(texts, dim=encoder.dim, seed=encoder.seed)
         semb_path = Path(out_dir) / f"{record.book_id}.semb"
         write_embeddings(matrix, semb_path)
         payload = {
             "readability_row": _counts_row(record.book_id, counts_from_sentences(sentences)),
             "semb_path": str(semb_path),
             "n_sentences": len(sentences),
-            "dim": dim,
+            "dim": encoder.dim,
         }
         return record.book_id, payload, None
     except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
@@ -218,10 +212,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [
-        (record, (cfg.encoder.dim, cfg.encoder.seed), str(cfg.section), str(out_dir))
-        for record in corpus
-    ]
+    tasks = [(record, cfg.encoder, cfg.section, str(out_dir)) for record in corpus]
     if args.jobs == 1:
         results = [_featurize_one(t) for t in tasks]
     else:

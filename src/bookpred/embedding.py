@@ -1,6 +1,10 @@
 """Sentence embeddings: hashed bag-of-words encoding, the SEMB binary
 file format for externally computed vectors, and chunk averaging.
 
+The hashed encoder numbers the tokens of one call in a vocabulary that
+lives only for that call, hashes each distinct token once, and adds all
+signed one-hot entries into the output matrix with a single scatter.
+
 SEMB layout (little-endian):
 
     bytes 0..3   magic ``SEMB``
@@ -18,6 +22,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +82,14 @@ def _hash64(token: str, seed: int) -> int:
     return h
 
 
+class _Vocabulary(dict):
+    """Token -> id, numbering each new token in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = n = len(self)
+        return n
+
+
 def encode_hashed_bow(sentences: list[str], dim: int = 512, seed: int = 0) -> np.ndarray:
     """Signed feature-hashing bag-of-words encoder.
 
@@ -84,20 +97,31 @@ def encode_hashed_bow(sentences: list[str], dim: int = 512, seed: int = 0) -> np
     in {-1, +1}; a sentence vector is the sum of its signed one-hot
     token vectors, L2-normalized (an all-zero vector stays zero).
     Deterministic for a fixed seed. Returns an (n_sentences, dim) array.
+
+    Rows hold small integers until the division, so the order in which
+    the single ``np.add.at`` scatter adds the signs cannot change them.
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
+    vocab = _Vocabulary()
+    token_id = vocab.__getitem__
+    token_ids = array("q")
+    lengths = array("q")
+    for tokens in map(tokenize_words, sentences):
+        lengths.append(len(tokens))
+        token_ids.extend(map(token_id, tokens))
+    hashes = [_hash64(token.lower(), seed) for token in vocab]
+    buckets = np.array([(h >> 1) % dim for h in hashes], dtype=np.intp)
+    signs = np.array([-1.0 if h & 1 else 1.0 for h in hashes])
+
+    ids = np.frombuffer(token_ids, dtype=np.int64)
+    flat = np.repeat(np.arange(len(sentences), dtype=np.intp) * dim, lengths)
+    flat += buckets[ids]
     out = np.zeros((len(sentences), dim))
-    for i, sentence in enumerate(sentences):
-        row = out[i]
-        for token in tokenize_words(sentence):
-            h = _hash64(token.lower(), seed)
-            bucket = (h >> 1) % dim
-            sign = 1.0 if h & 1 == 0 else -1.0
-            row[bucket] += sign
-        norm = float(np.linalg.norm(row))
-        if norm > 0.0:
-            row /= norm
+    np.add.at(out.reshape(-1), flat, signs[ids])
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    norms[norms == 0.0] = 1.0
+    out /= norms[:, None]
     return out
 
 

@@ -32,7 +32,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import counts_from_sentences, segment_sentences
+from .textstats import Sentence, counts_from_sentences, segment_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -45,6 +45,7 @@ __all__ = [
     "AttributionReport",
     "FeaturizationError",
     "TrainingDivergedError",
+    "section_sentences",
     "featurize_corpus",
     "train",
     "predict_corpus",
@@ -86,6 +87,8 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.kind == "external" and self.directory is None:
             raise ValueError("external encoder needs a directory of .semb files")
+        if self.kind == "hashed" and self.dim < 8:
+            raise ValueError(f"hashed encoder needs encoder.dim >= 8, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -141,18 +144,24 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def _load_sentences(record: BookRecord):
+def section_sentences(record: BookRecord, section: SectionSpec) -> list[Sentence]:
+    """The configured section of one book's sentences: the text is read
+    once, segmented once and the section selected once."""
     try:
         text = record.text_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FeaturizationError(f"book {record.book_id}: cannot read text ({exc})") from exc
-    return segment_sentences(text)
+    return select_section(segment_sentences(text), section)
 
 
-def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
-    """Sentence-embedding matrix for the configured book section."""
+def _section_matrix(
+    record: BookRecord, cfg: TrainConfig, sentences: list[Sentence] | None = None
+) -> np.ndarray:
+    """Sentence-embedding matrix for the configured book section. The
+    hashed encoder reads ``sentences`` when given, else the book's text."""
     if cfg.encoder.kind == "hashed":
-        sentences = select_section(_load_sentences(record), cfg.section)
+        if sentences is None:
+            sentences = section_sentences(record, cfg.section)
         if not sentences:
             raise FeaturizationError(f"book {record.book_id}: no sentences")
         return encode_hashed_bow(
@@ -173,15 +182,20 @@ def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
 ) -> tuple[np.ndarray, ReadabilityVector | None]:
     """Model inputs for one book: section-selected chunk sequence (or
-    averaged vector for book2vec) plus its raw readability scores."""
-    matrix = _section_matrix(record, cfg)
+    averaged vector for book2vec) plus its raw readability scores. The
+    hashed matrix and the readability counts share one segmentation."""
+    sentences = None
+    if cfg.encoder.kind == "hashed":
+        sentences = section_sentences(record, cfg.section)
+    matrix = _section_matrix(record, cfg, sentences)
     if cfg.model.arch == "book2vec":
         x = book_average(matrix)
     else:
         x = chunk_average(matrix, cfg.n_chunks)
     readability = None
     if need_readability:
-        sentences = select_section(_load_sentences(record), cfg.section)
+        if sentences is None:
+            sentences = section_sentences(record, cfg.section)
         try:
             readability = readability_vector(counts_from_sentences(sentences))
         except ValueError as exc:
@@ -551,6 +565,9 @@ def attribution_text(report: AttributionReport) -> str:
 # ----------------------------------------------------------------------
 
 
+_FEATURE_META_KEYS = ("section", "n_chunks", "encoder_kind", "encoder_dim", "encoder_seed")
+
+
 def feature_meta(cfg: TrainConfig) -> dict:
     meta = {
         "section": str(cfg.section),
@@ -569,7 +586,13 @@ def config_from_feature_meta(
 ) -> TrainConfig:
     """Rebuild the featurization side of a TrainConfig from checkpoint
     metadata; ``semb_dir`` supplies the .semb directory for external
-    encoders (it is not stored in checkpoints)."""
+    encoders (it is not stored in checkpoints). A missing key is a
+    ``net.CheckpointError``, not a bare ``KeyError``."""
+    missing = [key for key in _FEATURE_META_KEYS if key not in meta]
+    if missing:
+        raise net.CheckpointError(
+            f"checkpoint featurization metadata lacks {', '.join(missing)}"
+        )
     encoder = EncoderConfig(
         kind=meta["encoder_kind"],
         dim=meta["encoder_dim"],

@@ -5,7 +5,9 @@ readability scores are reproducible byte for byte. The rules are fixed:
 
 * sentences split at runs of ``.`` ``!`` ``?`` followed by whitespace,
   or at blank-line paragraph breaks, with a short abbreviation list
-  suppressing false splits;
+  suppressing false splits; one compiled regular expression finds the
+  candidate boundaries, so the text is scanned in C, not character by
+  character in Python;
 * words are maximal runs of letters and digits, allowing internal
   apostrophes and hyphens;
 * syllables are counted as maximal vowel groups (a, e, i, o, u, y) with
@@ -15,7 +17,9 @@ readability scores are reproducible byte for byte. The rules are fixed:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = [
     "Sentence",
@@ -32,7 +36,11 @@ _ABBREVIATIONS = frozenset(
     {"mr.", "mrs.", "dr.", "st.", "vs.", "etc.", "e.g.", "i.e."}
 )
 
-_TERMINATORS = ".!?"
+# Candidate sentence boundaries: a run of terminators followed by
+# whitespace or the end of the text, or a blank line (newline, optional
+# spaces, tabs or carriage returns, newline). ``\s`` matches exactly the
+# characters ``str.isspace()`` accepts.
+_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|\Z)|\n[ \t\r]*\n")
 
 # Letters/digits (no underscore), with internal apostrophes or hyphens.
 _WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
@@ -60,7 +68,7 @@ class TextCounts:
 
 
 def _ends_with_abbreviation(chunk: str) -> bool:
-    parts = chunk.split()
+    parts = chunk.rsplit(None, 1)
     if not parts:
         return False
     token = parts[-1].lstrip("\"'“”‘’([{")
@@ -75,46 +83,24 @@ def segment_sentences(text: str) -> list[Sentence]:
     (Mr., Mrs., Dr., St., vs., etc., e.g., i.e.) suppresses the split.
     Empty segments are dropped; each sentence keeps every one of its
     non-whitespace characters, internal whitespace collapsed to single
-    spaces.
+    spaces. One regex search per candidate boundary drives the split.
     """
-    sentences: list[Sentence] = []
-
-    def flush(segment: str) -> None:
-        normalized = " ".join(segment.split())
-        if normalized:
-            sentences.append(Sentence(text=normalized, index=len(sentences)))
-
-    n = len(text)
+    pieces: list[str] = []
     start = 0
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            j = i
-            while j + 1 < n and text[j + 1] in _TERMINATORS:
-                j += 1
-            at_end = j + 1 >= n
-            if at_end or text[j + 1].isspace():
-                if not _ends_with_abbreviation(text[start : j + 1]):
-                    flush(text[start : j + 1])
-                    start = j + 1
-            i = j + 1
-        elif ch == "\n":
-            # A blank line (newline, optional spaces, newline) is a
-            # paragraph break and therefore a sentence boundary.
-            k = i + 1
-            while k < n and text[k] in " \t\r":
-                k += 1
-            if k < n and text[k] == "\n":
-                flush(text[start:i])
-                start = i
-                i = k + 1
-            else:
-                i += 1
+    for match in _BOUNDARY_RE.finditer(text):
+        if text[match.start()] == "\n":
+            # A blank line is a paragraph break; its newlines start the
+            # next segment and are normalized away there.
+            pieces.append(text[start : match.start()])
+            start = match.start()
         else:
-            i += 1
-    flush(text[start:])
-    return sentences
+            segment = text[start : match.end()]
+            if not _ends_with_abbreviation(segment):
+                pieces.append(segment)
+                start = match.end()
+    pieces.append(text[start:])
+    normalized = filter(None, (" ".join(piece.split()) for piece in pieces))
+    return [Sentence(text=t, index=i) for i, t in enumerate(normalized)]
 
 
 def tokenize_words(sentence: str) -> list[str]:
@@ -155,22 +141,24 @@ def counts_from_sentences(sentences: list[Sentence]) -> TextCounts:
 
     Characters are letters and digits inside words only; punctuation,
     whitespace, and in-word apostrophes/hyphens are excluded.
-    Polysyllables are words of three or more syllables.
+    Polysyllables are words of three or more syllables. Characters and
+    syllables are computed once per distinct token and weighted by its
+    frequency.
     """
-    words = 0
+    frequency = Counter(
+        chain.from_iterable(tokenize_words(sentence.text) for sentence in sentences)
+    )
     characters = 0
     syllables = 0
     polysyllables = 0
-    for sentence in sentences:
-        for token in tokenize_words(sentence.text):
-            words += 1
-            characters += sum(1 for ch in token if ch.isalnum())
-            syl = count_syllables(token)
-            syllables += syl
-            if syl >= 3:
-                polysyllables += 1
+    for token, n in frequency.items():
+        characters += n * sum(1 for ch in token if ch.isalnum())
+        syl = count_syllables(token)
+        syllables += n * syl
+        if syl >= 3:
+            polysyllables += n
     return TextCounts(
-        words=words,
+        words=frequency.total(),
         characters=characters,
         sentences=len(sentences),
         syllables=syllables,

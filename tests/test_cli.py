@@ -5,8 +5,11 @@ import struct
 
 import pytest
 
+import text_reference as ref
 from bookpred import synth
-from bookpred.cli import main
+from bookpred.cli import _READABILITY_HEADER, _counts_row, main
+from bookpred.corpus import SectionSpec, select_section
+from bookpred.embedding import write_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,51 @@ class TestFeaturizeCommand:
         assert "book0003" in err
         assert len(list(out_dir.glob("*.semb"))) == 19
 
+    def test_outputs_match_reference_featurization(self, corpus_dir, tmp_path, capsys):
+        """.semb bytes and readability.csv equal what the character-loop
+        segmenter, per-token encoder and per-token counts produce."""
+        books = {
+            src.stem: src.read_text(encoding="utf-8")
+            for src in sorted((corpus_dir / "books").iterdir())[:4]
+        }
+        books["tricky"] = (
+            "“Mr. Smith” arrived.\u2028He left!!\n \t\r\nThen (e.g. later)"
+            " he re-turned? Don't.\xa0Yes\x1cno. i.e. done"
+        )
+        books["nowords"] = "... !!! ???"
+        root = tmp_path / "corpus"
+        (root / "books").mkdir(parents=True)
+        lines = ["book_id,genre,avg_rating,n_ratings,label,text_path"]
+        for book_id, text in books.items():
+            (root / "books" / f"{book_id}.txt").write_text(text, encoding="utf-8")
+            lines.append(f"{book_id},Drama,4.0,10,,books/{book_id}.txt")
+        (root / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "feat"
+        code, _, _ = run(
+            capsys,
+            "featurize",
+            "--manifest", str(root / "manifest.csv"),
+            "--out", str(out_dir),
+            "--jobs", "1",
+            "--section", "last:12",
+            "--set", "encoder.dim=16",
+            "--set", "encoder.seed=7",
+        )
+        assert code == 0
+
+        expected_csv = io.StringIO(newline="")
+        writer = csv.writer(expected_csv)
+        writer.writerow(_READABILITY_HEADER)
+        for book_id, text in books.items():
+            sentences = select_section(ref.segment_sentences(text), SectionSpec.last(12))
+            matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=16, seed=7)
+            write_embeddings(matrix, tmp_path / "expected.semb")
+            actual = (out_dir / f"{book_id}.semb").read_bytes()
+            assert actual == (tmp_path / "expected.semb").read_bytes(), book_id
+            writer.writerow(_counts_row(book_id, ref.counts_from_sentences(sentences)))
+        actual_csv = (out_dir / "readability.csv").read_bytes()
+        assert actual_csv == expected_csv.getvalue().encode("utf-8")
+
 
 @pytest.fixture(scope="module")
 def checkpoint(corpus_dir, tmp_path_factory):
@@ -216,6 +264,30 @@ class TestTrainEvalFlow:
         assert code == 1
         assert "bad metadata" in err and key in err
 
+    @pytest.mark.parametrize(
+        "key", ["section", "n_chunks", "encoder_kind", "encoder_dim", "encoder_seed"]
+    )
+    def test_checkpoint_missing_featurization_key_exits_one(
+        self, corpus_dir, checkpoint, tmp_path, capsys, key
+    ):
+        raw = (checkpoint / "model.bpmd").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12 : 12 + meta_len])
+        del meta["extra"][key]
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        broken = tmp_path / "broken.bpmd"
+        broken.write_bytes(
+            raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :]
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(broken),
+            "--manifest", str(corpus_dir / "manifest.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and key in err
+
     def test_book2vec_checkpoint_flows_through_eval(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "b2v.bpmd"
         code, _, _ = run(
@@ -310,6 +382,20 @@ class TestConfigHandling:
         )
         assert code == 0
         assert len(history.read_text(encoding="utf-8").strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("command", ["train", "featurize"])
+    def test_small_hashed_dim_exits_one_before_reading_books(self, tmp_path, capsys, command):
+        # The manifest does not exist: an error about the dimension shows the
+        # configuration was rejected before any manifest or book was opened.
+        code, _, err = run(
+            capsys,
+            command,
+            "--manifest", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "out"),
+            "--set", "encoder.dim=4",
+        )
+        assert code == 1
+        assert "encoder.dim >= 8" in err and "missing.csv" not in err
 
     def test_unknown_genre_manifest_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import text_reference as ref
 from bookpred import net, pipeline, synth
-from bookpred.corpus import SuccessLabel, load_corpus
+from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section
+from bookpred.embedding import chunk_average
 from bookpred.metrics import weighted_f1
+from bookpred.readability import readability_vector
 from bookpred.pipeline import (
     EncoderConfig,
     FeaturizationError,
@@ -236,6 +239,29 @@ class TestExportVectors:
         export_book_vectors(tiny_corpus, cfg, a)
         export_book_vectors(tiny_corpus, cfg, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSinglePassFeaturization:
+    def test_one_segmentation_per_book(self, tiny_corpus, monkeypatch):
+        texts = []
+        segment = pipeline.segment_sentences
+        monkeypatch.setattr(
+            pipeline, "segment_sentences", lambda text: texts.append(text) or segment(text)
+        )
+        pipeline.featurize_corpus(tiny_corpus, fast_cfg())
+        assert len(texts) == len(tiny_corpus)
+
+    @pytest.mark.parametrize("section", ["first:1000", "last:7", "full"])
+    def test_matches_reference_featurization(self, tiny_corpus, section):
+        cfg = fast_cfg(section=SectionSpec.parse(section), encoder=EncoderConfig(dim=64, seed=3))
+        x, raw = pipeline.featurize_corpus(tiny_corpus, cfg)
+        for i, record in enumerate(tiny_corpus):
+            text = record.text_path.read_text(encoding="utf-8")
+            sentences = select_section(ref.segment_sentences(text), cfg.section)
+            matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=64, seed=3)
+            assert x[i].tobytes() == chunk_average(matrix, cfg.n_chunks).tobytes()
+            expected = readability_vector(ref.counts_from_sentences(sentences))
+            assert raw[i].as_array().tobytes() == expected.as_array().tobytes()
 
 
 class TestExternalEncoder:
