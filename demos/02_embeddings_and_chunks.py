@@ -40,6 +40,14 @@ print("chunk sequence shape:", chunks.shape)
 print("chunk 0 equals mean of first 3 rows:",
       bool(np.allclose(chunks[0], seven[:3].mean(axis=0))))
 
+# The encoder can average chunks itself, block by block, without the
+# full sentence matrix; the result is bit-identical.
+direct = encode_hashed_bow(
+    [f"sentence number {i} of the tiny book" for i in range(7)], dim=64, n_chunks=3
+)
+print("encoder with n_chunks=3 bit-identical to chunk_average:",
+      direct.tobytes() == chunks.tobytes())
+
 # Fewer sentences than chunks pads with zero rows.
 padded = chunk_average(matrix, 5)
 print("zero padding rows for a 3-sentence book in 5 chunks:",

@@ -28,7 +28,7 @@ from .pipeline import (
     TrainingDivergedError,
 )
 from .readability import INDEX_NAMES, readability_vector
-from .textstats import compute_counts, counts_from_sentences
+from .textstats import compute_counts, counts_from_sentences, tokenize_sentences
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -187,12 +187,12 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
         sentences = pipeline.section_sentences(record, section)
         if not sentences:
             return record.book_id, None, "no sentences"
-        texts = [s.text for s in sentences]
-        matrix = encode_hashed_bow(texts, dim=encoder.dim, seed=encoder.seed)
+        tokens = tokenize_sentences(s.text for s in sentences)
+        matrix = encode_hashed_bow(tokens, dim=encoder.dim, seed=encoder.seed)
         semb_path = Path(out_dir) / f"{record.book_id}.semb"
         write_embeddings(matrix, semb_path)
         payload = {
-            "readability_row": _counts_row(record.book_id, counts_from_sentences(sentences)),
+            "readability_row": _counts_row(record.book_id, counts_from_sentences(tokens)),
             "semb_path": str(semb_path),
             "n_sentences": len(sentences),
             "dim": encoder.dim,

@@ -1,9 +1,12 @@
 """Sentence embeddings: hashed bag-of-words encoding, the SEMB binary
 file format for externally computed vectors, and chunk averaging.
 
-The hashed encoder numbers the tokens of one call in a vocabulary that
-lives only for that call, hashes each distinct token once, and adds all
-signed one-hot entries into the output matrix with a single scatter.
+The hashed encoder reads a ``textstats.Tokens`` (the sentences
+tokenized once, each word an id in a first-sight vocabulary), hashes
+each distinct token once per call, and adds the signed one-hot entries
+of a run of sentences into its rows with a single scatter. Asked for
+chunk averages, it encodes a block of whole chunks at a time, so the
+full sentence matrix of a long book is never built.
 
 SEMB layout (little-endian):
 
@@ -22,12 +25,11 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .textstats import tokenize_words
+from .textstats import Tokens, tokenize_sentences
 
 __all__ = [
     "SembError",
@@ -50,6 +52,10 @@ _HEADER = struct.Struct("<4sIII")
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
+
+# Most sentence rows the chunked encoder holds at once (4 MB at dim 512);
+# a chunk with more rows than this is encoded as a block of its own.
+_BLOCK_ROWS = 1024
 
 
 class SembError(Exception):
@@ -82,46 +88,81 @@ def _hash64(token: str, seed: int) -> int:
     return h
 
 
-class _Vocabulary(dict):
-    """Token -> id, numbering each new token in order of first sight."""
+def _encode_rows(
+    ids: np.ndarray, lengths: np.ndarray, buckets: np.ndarray, signs: np.ndarray, dim: int
+) -> np.ndarray:
+    """L2-normalized hashed rows of consecutive sentences: ``lengths``
+    words each, whose vocab ids are ``ids`` in reading order."""
+    n = len(lengths)
+    flat = np.repeat(np.arange(n, dtype=np.intp) * dim, lengths)
+    flat += buckets[ids]
+    out = np.zeros((n, dim))
+    np.add.at(out.reshape(-1), flat, signs[ids])
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    norms[norms == 0.0] = 1.0
+    out /= norms[:, None]
+    return out
 
-    def __missing__(self, token: str) -> int:
-        self[token] = n = len(self)
-        return n
+
+def _chunk_blocks(sizes: list[int]):
+    """(first, stop) ranges of consecutive whole chunks holding at most
+    ``_BLOCK_ROWS`` rows together; a larger chunk is a range of its own."""
+    first = rows = 0
+    for i, size in enumerate(sizes):
+        if rows and rows + size > _BLOCK_ROWS:
+            yield first, i
+            first, rows = i, 0
+        rows += size
+    yield first, len(sizes)
 
 
-def encode_hashed_bow(sentences: list[str], dim: int = 512, seed: int = 0) -> np.ndarray:
+def encode_hashed_bow(
+    sentences: list[str] | Tokens,
+    dim: int = 512,
+    seed: int = 0,
+    n_chunks: int | None = None,
+) -> np.ndarray:
     """Signed feature-hashing bag-of-words encoder.
 
     Each lowercased token hashes to a bucket in ``[0, dim)`` and a sign
     in {-1, +1}; a sentence vector is the sum of its signed one-hot
     token vectors, L2-normalized (an all-zero vector stays zero).
-    Deterministic for a fixed seed. Returns an (n_sentences, dim) array.
+    Deterministic for a fixed seed. ``sentences`` is a list of sentence
+    texts or their ``Tokens``. Returns an (n_sentences, dim) array, or
+    with ``n_chunks`` exactly ``chunk_average`` of that array.
 
     Rows hold small integers until the division, so the order in which
     the single ``np.add.at`` scatter adds the signs cannot change them.
+    The chunked path encodes whole chunks a block at a time and averages
+    each chunk over a contiguous slice of its block, which sums the same
+    rows in the same order as ``chunk_average`` does.
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
-    vocab = _Vocabulary()
-    token_id = vocab.__getitem__
-    token_ids = array("q")
-    lengths = array("q")
-    for tokens in map(tokenize_words, sentences):
-        lengths.append(len(tokens))
-        token_ids.extend(map(token_id, tokens))
-    hashes = [_hash64(token.lower(), seed) for token in vocab]
+    tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
+    hashes = [_hash64(token.lower(), seed) for token in tokens.vocab]
     buckets = np.array([(h >> 1) % dim for h in hashes], dtype=np.intp)
     signs = np.array([-1.0 if h & 1 else 1.0 for h in hashes])
+    if n_chunks is None:
+        return _encode_rows(tokens.ids, tokens.lengths, buckets, signs, dim)
 
-    ids = np.frombuffer(token_ids, dtype=np.int64)
-    flat = np.repeat(np.arange(len(sentences), dtype=np.intp) * dim, lengths)
-    flat += buckets[ids]
-    out = np.zeros((len(sentences), dim))
-    np.add.at(out.reshape(-1), flat, signs[ids])
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    norms[norms == 0.0] = 1.0
-    out /= norms[:, None]
+    sizes = chunk_sizes(len(tokens), n_chunks)
+    row_starts = np.concatenate(([0], np.cumsum(sizes)))
+    word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
+    out = np.zeros((n_chunks, dim))
+    for first, stop in _chunk_blocks(sizes):
+        r0, r1 = row_starts[first], row_starts[stop]
+        block = _encode_rows(
+            tokens.ids[word_starts[r0] : word_starts[r1]],
+            tokens.lengths[r0:r1],
+            buckets,
+            signs,
+            dim,
+        )
+        for i in range(first, stop):
+            if sizes[i] > 0:
+                out[i] = block[row_starts[i] - r0 : row_starts[i + 1] - r0].mean(axis=0)
+        del block  # free it before the next block is encoded
     return out
 
 

@@ -150,10 +150,14 @@ class ModelParams:
         return self.with_tensors({name: t.copy() for name, t in self.tensors()})
 
     def with_tensors(self, new: dict[str, np.ndarray]) -> "ModelParams":
-        kernels = [new[f"conv{w}_kernel"] for w in self.config.window_sizes]
-        biases = [new[f"conv{w}_bias"] for w in self.config.window_sizes]
-        return ModelParams(
-            config=self.config,
+        return ModelParams.from_tensors(self.config, new)
+
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, new: dict[str, np.ndarray]) -> "ModelParams":
+        kernels = [new[f"conv{w}_kernel"] for w in config.window_sizes]
+        biases = [new[f"conv{w}_bias"] for w in config.window_sizes]
+        return cls(
+            config=config,
             conv_kernels=kernels,
             conv_biases=biases,
             dense1_w=new["dense1_w"],
@@ -190,6 +194,23 @@ class ForwardCache:
         )
 
 
+def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor, in ``ModelParams.tensors`` order."""
+    shapes: list[tuple[str, tuple[int, ...]]] = []
+    if config.arch == "cnn":
+        f = config.filters_per_window
+        for w in config.window_sizes:
+            shapes += [(f"conv{w}_kernel", (f, w, config.input_dim)), (f"conv{w}_bias", (f,))]
+    h = config.hidden_units
+    shapes += [
+        ("dense1_w", (h, config.fused_dim)),
+        ("dense1_b", (h,)),
+        ("dense2_w", (N_CLASSES, h)),
+        ("dense2_b", (N_CLASSES,)),
+    ]
+    return shapes
+
+
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
@@ -198,28 +219,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     receptive field onto its filters.
     """
     rng = np.random.default_rng(seed)
-    kernels: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    if config.arch == "cnn":
-        f = config.filters_per_window
-        for w in config.window_sizes:
-            a = math.sqrt(6.0 / (w * config.input_dim + f))
-            kernels.append(rng.uniform(-a, a, size=(f, w, config.input_dim)))
-            biases.append(np.zeros(f))
-    fused = config.fused_dim
-    a1 = math.sqrt(6.0 / (fused + config.hidden_units))
-    dense1_w = rng.uniform(-a1, a1, size=(config.hidden_units, fused))
-    a2 = math.sqrt(6.0 / (config.hidden_units + N_CLASSES))
-    dense2_w = rng.uniform(-a2, a2, size=(N_CLASSES, config.hidden_units))
-    return ModelParams(
-        config=config,
-        conv_kernels=kernels,
-        conv_biases=biases,
-        dense1_w=dense1_w,
-        dense1_b=np.zeros(config.hidden_units),
-        dense2_w=dense2_w,
-        dense2_b=np.zeros(N_CLASSES),
-    )
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in _tensor_shapes(config):
+        if len(shape) == 1:  # a bias
+            tensors[name] = np.zeros(shape)
+        else:
+            fan_out, fan_in = shape[0], math.prod(shape[1:])
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            tensors[name] = rng.uniform(-a, a, size=shape)
+    return ModelParams.from_tensors(config, tensors)
 
 
 def build_book2vec(input_dim: int, hidden_units: int = 50, seed: int = 0) -> ModelParams:
@@ -576,31 +584,32 @@ def load_checkpoint(
         extra = meta["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc})") from None
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: bad metadata (extra must be an object, got {extra!r})")
     offset += meta_len
 
-    template = init_params(config, seed=0)
+    # The declared config fixes the file length; check it before any
+    # tensor is allocated, so an edited shape cannot ask for huge arrays.
+    shapes = _tensor_shapes(config)
+    expected = offset + 4 * sum(math.prod(shape) for _, shape in shapes)
+    expected += 8 * 2 * N_READABILITY if has_scaler else 0
+    if len(raw) != expected:
+        raise CheckpointError(
+            f"{path}: declared model needs {expected} bytes, file has {len(raw)}"
+        )
     tensors: dict[str, np.ndarray] = {}
-    for name, tensor in template.tensors():
-        count = tensor.size
-        end = offset + 4 * count
-        if len(raw) < end:
-            raise CheckpointError(f"{path}: truncated tensor {name}")
+    for name, shape in shapes:
+        count = math.prod(shape)
         values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[name] = values.astype(float).reshape(tensor.shape)
-        offset = end
-    params = template.with_tensors(tensors)
+        tensors[name] = values.astype(float).reshape(shape)
+        offset += 4 * count
+    params = ModelParams.from_tensors(config, tensors)
 
     scaler = None
     if has_scaler:
-        end = offset + 8 * 2 * N_READABILITY
-        if len(raw) < end:
-            raise CheckpointError(f"{path}: truncated scaler")
         mean = np.frombuffer(raw, dtype="<f8", count=N_READABILITY, offset=offset).copy()
         std = np.frombuffer(
             raw, dtype="<f8", count=N_READABILITY, offset=offset + 8 * N_READABILITY
         ).copy()
         scaler = ReadabilityScaler(mean=mean, std=std)
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
     return params, scaler, extra

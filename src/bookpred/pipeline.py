@@ -32,7 +32,13 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import Sentence, counts_from_sentences, segment_sentences
+from .textstats import (
+    Sentence,
+    Tokens,
+    counts_from_sentences,
+    segment_sentences,
+    tokenize_sentences,
+)
 
 __all__ = [
     "EncoderConfig",
@@ -154,18 +160,19 @@ def section_sentences(record: BookRecord, section: SectionSpec) -> list[Sentence
     return select_section(segment_sentences(text), section)
 
 
-def _section_matrix(
-    record: BookRecord, cfg: TrainConfig, sentences: list[Sentence] | None = None
-) -> np.ndarray:
-    """Sentence-embedding matrix for the configured book section. The
-    hashed encoder reads ``sentences`` when given, else the book's text."""
+def _hashed_tokens(record: BookRecord, cfg: TrainConfig) -> Tokens:
+    """The configured section of one book, tokenized once."""
+    sentences = section_sentences(record, cfg.section)
+    if not sentences:
+        raise FeaturizationError(f"book {record.book_id}: no sentences")
+    return tokenize_sentences(s.text for s in sentences)
+
+
+def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
+    """Sentence-embedding matrix for the configured book section."""
     if cfg.encoder.kind == "hashed":
-        if sentences is None:
-            sentences = section_sentences(record, cfg.section)
-        if not sentences:
-            raise FeaturizationError(f"book {record.book_id}: no sentences")
         return encode_hashed_bow(
-            [s.text for s in sentences], dim=cfg.encoder.dim, seed=cfg.encoder.seed
+            _hashed_tokens(record, cfg), dim=cfg.encoder.dim, seed=cfg.encoder.seed
         )
     semb_path = cfg.encoder.directory / f"{record.book_id}.semb"
     try:
@@ -182,16 +189,23 @@ def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
 ) -> tuple[np.ndarray, ReadabilityVector | None]:
     """Model inputs for one book: section-selected chunk sequence (or
-    averaged vector for book2vec) plus its raw readability scores. The
-    hashed matrix and the readability counts share one segmentation."""
+    averaged vector for book2vec) plus its raw readability scores.
+
+    With the hashed encoder the section is tokenized once: the encoder
+    and the readability counts share those ``Tokens``, and the CNN's
+    chunk averages are built block by block, never the full matrix."""
     sentences = None
     if cfg.encoder.kind == "hashed":
-        sentences = section_sentences(record, cfg.section)
-    matrix = _section_matrix(record, cfg, sentences)
-    if cfg.model.arch == "book2vec":
-        x = book_average(matrix)
+        sentences = _hashed_tokens(record, cfg)
+        dim, seed = cfg.encoder.dim, cfg.encoder.seed
+        if cfg.model.arch == "book2vec":
+            x = book_average(encode_hashed_bow(sentences, dim=dim, seed=seed))
+        else:
+            x = encode_hashed_bow(sentences, dim=dim, seed=seed, n_chunks=cfg.n_chunks)
+    elif cfg.model.arch == "book2vec":
+        x = book_average(_section_matrix(record, cfg))
     else:
-        x = chunk_average(matrix, cfg.n_chunks)
+        x = chunk_average(_section_matrix(record, cfg), cfg.n_chunks)
     readability = None
     if need_readability:
         if sentences is None:
@@ -270,7 +284,9 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     Deterministic given ``cfg.seed``: the split, the parameter init, the
     batch shuffles, and the dropout masks all derive from it. After each
     epoch the validation weighted F1 is computed in eval mode and the
-    best-scoring parameters (earliest epoch on ties) are kept.
+    best-scoring parameters (earliest epoch on ties) are kept. Training
+    runs in float64; the returned parameters are rounded through float32,
+    the precision checkpoints store.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
@@ -330,11 +346,19 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
             best_params = params.copy()
 
     return TrainResult(
-        params=best_params,
+        params=_through_float32(best_params),
         scaler=scaler,
         history=history,
         best_epoch=best_epoch,
-        final_params=params,
+        final_params=_through_float32(params),
+    )
+
+
+def _through_float32(params: ModelParams) -> ModelParams:
+    """``params`` rounded to the float32 a checkpoint stores, so a trained
+    model and the same model reloaded predict bit-identically."""
+    return params.with_tensors(
+        {name: t.astype(np.float32).astype(float) for name, t in params.tensors()}
     )
 
 
@@ -565,7 +589,14 @@ def attribution_text(report: AttributionReport) -> str:
 # ----------------------------------------------------------------------
 
 
-_FEATURE_META_KEYS = ("section", "n_chunks", "encoder_kind", "encoder_dim", "encoder_seed")
+# Each featurization key stored in a checkpoint and the type its value must have.
+_FEATURE_META_TYPES = {
+    "section": str,
+    "n_chunks": int,
+    "encoder_kind": str,
+    "encoder_dim": int,
+    "encoder_seed": int,
+}
 
 
 def feature_meta(cfg: TrainConfig) -> dict:
@@ -586,13 +617,21 @@ def config_from_feature_meta(
 ) -> TrainConfig:
     """Rebuild the featurization side of a TrainConfig from checkpoint
     metadata; ``semb_dir`` supplies the .semb directory for external
-    encoders (it is not stored in checkpoints). A missing key is a
-    ``net.CheckpointError``, not a bare ``KeyError``."""
-    missing = [key for key in _FEATURE_META_KEYS if key not in meta]
+    encoders (it is not stored in checkpoints). A missing key, or a value
+    of the wrong type (a bool is not an int here), is a
+    ``net.CheckpointError`` that names the key."""
+    missing = [key for key in _FEATURE_META_TYPES if key not in meta]
     if missing:
         raise net.CheckpointError(
             f"checkpoint featurization metadata lacks {', '.join(missing)}"
         )
+    for key, kind in _FEATURE_META_TYPES.items():
+        value = meta[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise net.CheckpointError(
+                f"checkpoint featurization metadata {key} must be {kind.__name__}, "
+                f"got {value!r}"
+            )
     encoder = EncoderConfig(
         kind=meta["encoder_kind"],
         dim=meta["encoder_dim"],

@@ -9,7 +9,9 @@ readability scores are reproducible byte for byte. The rules are fixed:
   candidate boundaries, so the text is scanned in C, not character by
   character in Python;
 * words are maximal runs of letters and digits, allowing internal
-  apostrophes and hyphens;
+  apostrophes and hyphens; ``tokenize_sentences`` tokenizes a book's
+  sentences once into ``Tokens`` (a first-sight vocabulary plus one id
+  per word), which the hashed encoder and the counts both read;
 * syllables are counted as maximal vowel groups (a, e, i, o, u, y) with
   the terminal silent-e rule, floored at 1.
 """
@@ -17,15 +19,21 @@ readability scores are reproducible byte for byte. The rules are fixed:
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "Sentence",
     "TextCounts",
+    "Tokens",
     "segment_sentences",
     "tokenize_words",
+    "tokenize_sentences",
     "count_syllables",
     "compute_counts",
     "counts_from_sentences",
@@ -109,6 +117,50 @@ def tokenize_words(sentence: str) -> list[str]:
     return _WORD_RE.findall(sentence)
 
 
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """The words of a sequence of sentences, tokenized once.
+
+    ``vocab`` lists the distinct words in order of first sight, ``ids``
+    holds the vocab index of every word in reading order (int64) and
+    ``lengths`` the number of words of each sentence (int64). ``len()``
+    is the number of sentences.
+    """
+
+    vocab: list[str]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+class _Vocabulary(dict):
+    """Token -> id, numbering each new token in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = n = len(self)
+        return n
+
+
+def tokenize_sentences(texts: Iterable[str]) -> Tokens:
+    """Tokenize each sentence text once, streaming: ids are numbered in a
+    first-sight vocabulary as the words go by, so no list of every word
+    string is ever held."""
+    vocab = _Vocabulary()
+    token_id = vocab.__getitem__
+    ids = array("q")
+    lengths = array("q")
+    for words in map(tokenize_words, texts):
+        lengths.append(len(words))
+        ids.extend(map(token_id, words))
+    return Tokens(
+        vocab=list(vocab),
+        ids=np.frombuffer(ids, dtype=np.int64),
+        lengths=np.frombuffer(lengths, dtype=np.int64),
+    )
+
+
 def count_syllables(word: str) -> int:
     """Heuristic syllable count for one word.
 
@@ -136,29 +188,37 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def counts_from_sentences(sentences: list[Sentence]) -> TextCounts:
-    """Aggregate counts over pre-segmented sentences.
+def counts_from_sentences(sentences: list[Sentence] | Tokens) -> TextCounts:
+    """Aggregate counts over pre-segmented sentences, or over their
+    ``Tokens`` when the caller has already tokenized them.
 
     Characters are letters and digits inside words only; punctuation,
     whitespace, and in-word apostrophes/hyphens are excluded.
     Polysyllables are words of three or more syllables. Characters and
     syllables are computed once per distinct token and weighted by its
-    frequency.
+    frequency, which ``Tokens`` gives by one ``bincount`` over its ids.
     """
-    frequency = Counter(
-        chain.from_iterable(tokenize_words(sentence.text) for sentence in sentences)
-    )
+    if isinstance(sentences, Tokens):
+        words = len(sentences.ids)
+        counts = np.bincount(sentences.ids, minlength=len(sentences.vocab))
+        frequency = zip(sentences.vocab, counts.tolist())
+    else:
+        counter = Counter(
+            chain.from_iterable(tokenize_words(sentence.text) for sentence in sentences)
+        )
+        words = counter.total()
+        frequency = counter.items()
     characters = 0
     syllables = 0
     polysyllables = 0
-    for token, n in frequency.items():
+    for token, n in frequency:
         characters += n * sum(1 for ch in token if ch.isalnum())
         syl = count_syllables(token)
         syllables += n * syl
         if syl >= 3:
             polysyllables += n
     return TextCounts(
-        words=frequency.total(),
+        words=words,
         characters=characters,
         sentences=len(sentences),
         syllables=syllables,

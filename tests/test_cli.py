@@ -288,6 +288,41 @@ class TestTrainEvalFlow:
         assert code == 1
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("section", 1000),
+            ("n_chunks", "10"),
+            ("encoder_kind", None),
+            ("encoder_dim", "64"),
+            ("encoder_seed", 1.5),
+            ("extra", "first:1000"),
+        ],
+    )
+    def test_checkpoint_mistyped_featurization_value_exits_one(
+        self, corpus_dir, checkpoint, tmp_path, capsys, key, value
+    ):
+        raw = (checkpoint / "model.bpmd").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12 : 12 + meta_len])
+        if key == "extra":
+            meta["extra"] = value
+        else:
+            meta["extra"][key] = value
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        broken = tmp_path / "broken.bpmd"
+        broken.write_bytes(
+            raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :]
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(broken),
+            "--manifest", str(corpus_dir / "manifest.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and key in err
+
     def test_book2vec_checkpoint_flows_through_eval(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "b2v.bpmd"
         code, _, _ = run(

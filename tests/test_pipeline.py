@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import text_reference as ref
-from bookpred import net, pipeline, synth
+from bookpred import embedding, net, pipeline, synth, textstats
 from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section
 from bookpred.embedding import chunk_average
 from bookpred.metrics import weighted_f1
@@ -264,6 +266,55 @@ class TestSinglePassFeaturization:
             assert raw[i].as_array().tobytes() == expected.as_array().tobytes()
 
 
+class TestOneTokenizationPerBook:
+    @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
+    def test_tokenize_words_once_per_section_sentence(self, tiny_corpus, monkeypatch, arch):
+        cfg = fast_cfg(section=SectionSpec.parse("last:17"), model=ModelSpec(arch=arch))
+        n_sentences = sum(
+            len(pipeline.section_sentences(record, cfg.section)) for record in tiny_corpus
+        )
+        calls = []
+        tokenize = textstats.tokenize_words
+
+        def counting(sentence):
+            calls.append(sentence)
+            return tokenize(sentence)
+
+        # Patch every module namespace that holds the tokenizer.
+        for module in (textstats, embedding):
+            if hasattr(module, "tokenize_words"):
+                monkeypatch.setattr(module, "tokenize_words", counting)
+        pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
+        assert len(calls) == n_sentences
+
+    def test_chunk_averages_never_build_the_sentence_matrix(self, tmp_path):
+        rng = np.random.default_rng(4)
+        words = np.array([f"w{i}" for i in range(3000)], dtype=object)
+        n_sentences = 5000
+        text = " ".join(
+            " ".join(words[rng.integers(len(words), size=int(k))]) + "."
+            for k in rng.integers(6, 13, size=n_sentences)
+        )
+        book = tmp_path / "long.txt"
+        book.write_text(text, encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "book_id,genre,avg_rating,n_ratings,label,text_path\n"
+            f"long,Drama,4.0,10,,{book.name}\n",
+            encoding="utf-8",
+        )
+        (record,) = load_corpus(manifest)
+        cfg = TrainConfig(section=SectionSpec.full())
+        tracemalloc.start()
+        try:
+            x, _ = pipeline.featurize_book(record, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (cfg.n_chunks, cfg.encoder.dim)
+        assert peak < n_sentences * cfg.encoder.dim * 8 / 2
+
+
 class TestExternalEncoder:
     def test_external_semb_pipeline(self, tmp_path):
         manifest = synth.make_readability_corpus(
@@ -355,3 +406,20 @@ class TestReportSerialization:
         report_a = evaluate(result.params, result.scaler, tiny_corpus, cfg)
         report_b = evaluate(params, scaler, tiny_corpus, rebuilt)
         assert report_a.n == report_b.n
+
+    @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
+    def test_trained_and_reloaded_models_predict_identically(self, tiny_corpus, tmp_path, arch):
+        cfg = fast_cfg(epochs=2, model=ModelSpec(arch=arch, filters_per_window=4, hidden_units=10))
+        result = train(tiny_corpus, cfg)
+        for trained in (result.params, result.final_params):
+            path = tmp_path / "m.bpmd"
+            net.save_checkpoint(path, trained, result.scaler, extra=pipeline.feature_meta(cfg))
+            params, scaler, meta = net.load_checkpoint(path)
+            for (_, a), (_, b) in zip(trained.tensors(), params.tensors()):
+                assert a.tobytes() == b.tobytes()
+            rebuilt = pipeline.config_from_feature_meta(meta, params.config)
+            in_memory = predict_corpus(trained, result.scaler, tiny_corpus, cfg)
+            reloaded = predict_corpus(params, scaler, tiny_corpus, rebuilt)
+            assert [(p.pred, p.p_successful) for p in in_memory] == [
+                (p.pred, p.p_successful) for p in reloaded
+            ]
