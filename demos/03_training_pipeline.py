@@ -11,7 +11,8 @@ from pathlib import Path
 from bookpred import pipeline, synth
 from bookpred.corpus import load_corpus, split_train_val
 from bookpred.metrics import mcnemar, weighted_f1
-from bookpred.pipeline import EncoderConfig, ModelSpec, TrainConfig
+from bookpred.net import ModelConfig
+from bookpred.pipeline import EncoderConfig, TrainConfig
 
 with tempfile.TemporaryDirectory() as tmp:
     # markers appear in only 8% of sentences: sparse enough that
@@ -34,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"CNN test weighted F1: {cnn_report.weighted_f1:.3f}")
 
     b2v_cfg = TrainConfig(
-        seed=2, epochs=40, encoder=encoder, model=ModelSpec(arch="book2vec")
+        seed=2, epochs=40, encoder=encoder, model=ModelConfig(arch="book2vec")
     )
     b2v = pipeline.train(trainval, b2v_cfg)
     b2v_report = pipeline.evaluate(b2v.params, b2v.scaler, test, b2v_cfg)

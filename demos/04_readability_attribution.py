@@ -14,7 +14,8 @@ from pathlib import Path
 
 from bookpred import pipeline, synth
 from bookpred.corpus import load_corpus, split_train_val
-from bookpred.pipeline import EncoderConfig, ModelSpec, TrainConfig
+from bookpred.net import ModelConfig
+from bookpred.pipeline import EncoderConfig, TrainConfig
 from bookpred.readability import INDEX_NAMES
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -30,7 +31,7 @@ with tempfile.TemporaryDirectory() as tmp:
             seed=4,
             epochs=150,
             encoder=encoder,
-            model=ModelSpec(use_readability=use_readability),
+            model=ModelConfig(use_readability=use_readability),
         )
         result = pipeline.train(trainval, cfg)
         report = pipeline.evaluate(result.params, result.scaler, test, cfg)

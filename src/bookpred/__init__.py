@@ -43,7 +43,6 @@ from .pipeline import (
     AttributionReport,
     EncoderConfig,
     EvalReport,
-    ModelSpec,
     TrainConfig,
     TrainResult,
     attribute_readability,

@@ -3,8 +3,10 @@
 Subcommands: readability, featurize, train, eval, mcnemar, attribute,
 export-vectors. Options can come from a key=value config file
 (``--config``, ``#`` comments allowed) merged with command-line flags;
-flags win, unknown keys are errors. Exit codes: 0 success, 1 input
-error, 2 internal or numeric error.
+flags win, unknown keys are errors. The keys are the dotted field paths
+of ``pipeline.TrainConfig`` (``epochs``, ``encoder.dim``,
+``model.dropout_p``, ...), each parsed by its field's type. Exit codes:
+0 success, 1 input error, 2 internal or numeric error.
 """
 
 from __future__ import annotations
@@ -13,20 +15,16 @@ import argparse
 import csv
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import net, pipeline
 from .corpus import ManifestError, SectionSpec, SuccessLabel, load_corpus
 from .embedding import SembError, encode_hashed_bow, write_embeddings
 from .metrics import mcnemar
-from .pipeline import (
-    EncoderConfig,
-    FeaturizationError,
-    ModelSpec,
-    TrainConfig,
-    TrainingDivergedError,
-)
+from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError
 from .readability import INDEX_NAMES, readability_vector
 from .textstats import compute_counts, counts_from_sentences, tokenize_sentences
 
@@ -35,25 +33,6 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 _READABILITY_HEADER = ["book_id", "W", "C", "S", "L", "P"] + list(INDEX_NAMES)
-
-_CONFIG_KEYS = {
-    "seed",
-    "epochs",
-    "batch_size",
-    "val_fraction",
-    "section",
-    "n_chunks",
-    "encoder",
-    "encoder.dim",
-    "encoder.seed",
-    "encoder.dir",
-    "model",
-    "model.window_sizes",
-    "model.filters_per_window",
-    "model.hidden_units",
-    "model.dropout_p",
-    "model.use_readability",
-}
 
 
 class ConfigError(ValueError):
@@ -73,16 +52,43 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
     if text.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+# How a config value of each leaf field type is read from text; a
+# dataclass field of any other type is a sub-config whose fields are keys.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    Path | None: Path,
+    SectionSpec: SectionSpec.parse,
+    tuple[int, ...]: lambda text: tuple(int(w) for w in text.split(",") if w.strip()),
+}
+
+
+def config_keys(cls=TrainConfig, prefix: str = "") -> dict[str, type]:
+    """Every config key (the dotted path of a leaf field of ``TrainConfig``)
+    and its type. ``model.input_dim`` is no key: training sets it."""
+    keys: dict[str, type] = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        key = prefix + name
+        if kind not in _PARSERS:
+            keys.update(config_keys(kind, key + "."))
+        elif key != "model.input_dim":
+            keys[key] = kind
+    return keys
 
 
 def _merged_options(args: argparse.Namespace) -> dict[str, str]:
-    """Config file values, overridden by repeated --set key=value flags."""
+    """Config file values, overridden by repeated --set key=value flags,
+    then by the dedicated flags."""
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(Path(args.config)))
@@ -91,63 +97,40 @@ def _merged_options(args: argparse.Namespace) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         values[key.strip()] = value.strip()
-    unknown = set(values) - _CONFIG_KEYS
+    unknown = set(values) - set(config_keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    flags = {
+        "seed": getattr(args, "seed", None),
+        "section": getattr(args, "section", None),
+        "model.arch": getattr(args, "model", None),
+    }
+    if getattr(args, "semb_dir", None):
+        flags.update({"encoder.kind": "external", "encoder.directory": args.semb_dir})
+    values.update({key: str(value) for key, value in flags.items() if value is not None})
     return values
 
 
-def _build_train_config(args: argparse.Namespace) -> TrainConfig:
-    opts = _merged_options(args)
+def _with_options(cfg, options: dict[str, str], prefix: str = ""):
+    """``cfg`` with every option under ``prefix`` parsed by its field type;
+    each sub-config is rebuilt once, with all of its options applied, so
+    its own checks see the final values."""
+    changes = {}
+    for name, kind in typing.get_type_hints(type(cfg)).items():
+        key = prefix + name
+        if kind not in _PARSERS:
+            changes[name] = _with_options(getattr(cfg, name), options, key + ".")
+        elif key in options:
+            try:
+                changes[name] = _PARSERS[kind](options[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    return replace(cfg, **changes)
 
-    def opt(key: str, default: str) -> str:
-        return opts.get(key, default)
 
-    encoder_kind = opt("encoder", "hashed")
-    semb_dir = opts.get("encoder.dir")
-    if getattr(args, "semb_dir", None):
-        semb_dir = args.semb_dir
-        encoder_kind = "external"
-    encoder = EncoderConfig(
-        kind=encoder_kind,
-        dim=int(opt("encoder.dim", "512")),
-        seed=int(opt("encoder.seed", "0")),
-        directory=Path(semb_dir) if semb_dir else None,
-    )
-
-    model_kind = opt("model", "cnn")
-    if getattr(args, "model", None):
-        model_kind = args.model
-    window_text = opt("model.window_sizes", "2,3,5,7")
-    windows = tuple(int(w) for w in window_text.split(",") if w.strip())
-    spec = ModelSpec(
-        arch=model_kind,
-        window_sizes=windows,
-        filters_per_window=int(opt("model.filters_per_window", "20")),
-        hidden_units=int(opt("model.hidden_units", "50")),
-        dropout_p=float(opt("model.dropout_p", "0.6")),
-        use_readability=_parse_bool(
-            opt("model.use_readability", "true"), "model.use_readability"
-        ),
-    )
-
-    section_text = opt("section", "first:1000")
-    if getattr(args, "section", None):
-        section_text = args.section
-    seed = int(opt("seed", "0"))
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-
-    return TrainConfig(
-        seed=seed,
-        epochs=int(opt("epochs", "100")),
-        batch_size=int(opt("batch_size", "32")),
-        val_fraction=float(opt("val_fraction", "0.2")),
-        section=SectionSpec.parse(section_text),
-        n_chunks=int(opt("n_chunks", "50")),
-        encoder=encoder,
-        model=spec,
-    )
+def build_train_config(args: argparse.Namespace) -> TrainConfig:
+    """``TrainConfig()`` with the config file, ``--set`` and flag values applied."""
+    return _with_options(TrainConfig(), _merged_options(args))
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
@@ -203,7 +186,7 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    cfg = _build_train_config(args)
+    cfg = build_train_config(args)
     if cfg.encoder.kind != "hashed":
         print("featurize produces .semb files and only supports the hashed encoder",
               file=sys.stderr)
@@ -253,7 +236,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _build_train_config(args)
+    cfg = build_train_config(args)
     corpus = load_corpus(args.manifest)
     result = pipeline.train(corpus, cfg)
     net.save_checkpoint(
@@ -350,7 +333,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_export_vectors(args: argparse.Namespace) -> int:
-    cfg = _build_train_config(args)
+    cfg = build_train_config(args)
     corpus = load_corpus(args.manifest)
     n = pipeline.export_book_vectors(corpus, cfg, args.out)
     print(f"wrote {n} book vectors to {args.out}")

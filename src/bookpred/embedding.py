@@ -118,7 +118,7 @@ def _chunk_blocks(sizes: list[int]):
 
 def encode_hashed_bow(
     sentences: list[str] | Tokens,
-    dim: int = 512,
+    dim: int,
     seed: int = 0,
     n_chunks: int | None = None,
 ) -> np.ndarray:

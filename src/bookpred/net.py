@@ -10,6 +10,10 @@ checkpoint format:
 * ``book2vec`` — the same dense head applied directly to one averaged
   book vector.
 
+``ModelConfig`` is the one model configuration type: its field defaults
+are the paper's hyperparameters, ``pipeline.TrainConfig.model`` holds
+one, and checkpoints store it.
+
 Every pass runs batch-first, one array pass per (B, n_chunks, dim)
 mini-batch; a single example is the B = 1 case. The convolution is one
 matmul per example against all kernels stacked into one matrix, plus
@@ -26,7 +30,8 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +72,24 @@ def _label_indices(labels) -> np.ndarray:
     return np.array([_LABEL_INDEX[label] for label in labels], dtype=int)
 
 
+# The fields a book2vec config fixes: one averaged vector per book goes
+# straight into the dense head.
+_BOOK2VEC_SHAPE = dict(
+    window_sizes=(), filters_per_window=0, dropout_p=0.0, n_chunks=1, use_readability=False
+)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int
+    """Architecture hyperparameters; the defaults are the paper's.
+
+    ``input_dim`` 0 means "not known yet": training sets it from the
+    featurized inputs, and no tensor can be built before it does. A
+    book2vec config is normalised to its fixed shape: no windows, no
+    filters, no dropout, one chunk and no readability fusion.
+    """
+
+    input_dim: int = 0
     arch: str = "cnn"  # "cnn" | "book2vec"
     window_sizes: tuple[int, ...] = (2, 3, 5, 7)
     filters_per_window: int = 20
@@ -81,8 +101,11 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.arch not in ("cnn", "book2vec"):
             raise ValueError(f"unknown arch {self.arch!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        if self.arch == "book2vec":
+            for name, value in _BOOK2VEC_SHAPE.items():
+                object.__setattr__(self, name, value)
+        if self.input_dim < 0:
+            raise ValueError("input_dim must not be negative")
         if self.hidden_units < 1:
             raise ValueError("hidden_units must be positive")
         if not (0.0 <= self.dropout_p < 1.0):
@@ -101,8 +124,6 @@ class ModelConfig:
 
     @property
     def pooled_dim(self) -> int:
-        if self.arch != "cnn":
-            return 0
         return self.filters_per_window * len(self.window_sizes)
 
     @property
@@ -117,9 +138,29 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["window_sizes"] = tuple(d["window_sizes"])
-        return cls(**d)
+        """The inverse of ``to_dict``. Every field must be present with its
+        declared type: an int field takes an int and not a bool, a float
+        field an int or a float, a bool field a bool. A violation is a
+        ``ValueError`` that names the key."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(names))
+        missing = [name for name in names if name not in d]
+        if unknown or missing:
+            raise ValueError(f"model config keys unknown: {unknown}, missing: {missing}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{name: _checked(name, hints[name], d[name]) for name in names})
+
+
+def _checked(key: str, kind, value):
+    """``value`` read from JSON as a ``kind`` field (a list for a tuple)."""
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return tuple(_checked(key, typing.get_args(kind)[0], v) for v in value)
+    allowed = (int, float) if kind is float else (kind,)
+    if type(value) not in allowed:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -196,6 +237,8 @@ class ForwardCache:
 
 def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every tensor, in ``ModelParams.tensors`` order."""
+    if config.input_dim < 1:
+        raise ValueError("input_dim must be positive to build tensors")
     shapes: list[tuple[str, tuple[int, ...]]] = []
     if config.arch == "cnn":
         f = config.filters_per_window
@@ -230,20 +273,14 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams.from_tensors(config, tensors)
 
 
-def build_book2vec(input_dim: int, hidden_units: int = 50, seed: int = 0) -> ModelParams:
+def build_book2vec(
+    input_dim: int, hidden_units: int = ModelConfig.hidden_units, seed: int = 0
+) -> ModelParams:
     """Two-layer feed-forward classifier over one averaged book vector,
     sharing the loss/optimizer/checkpoint machinery of the CNN."""
-    config = ModelConfig(
-        input_dim=input_dim,
-        arch="book2vec",
-        window_sizes=(),
-        filters_per_window=0,
-        hidden_units=hidden_units,
-        dropout_p=0.0,
-        n_chunks=1,
-        use_readability=False,
+    return init_params(
+        ModelConfig(input_dim=input_dim, arch="book2vec", hidden_units=hidden_units), seed
     )
-    return init_params(config, seed)
 
 
 def _as_batch(cfg: ModelConfig, x, readability_scaled, rows):
@@ -257,10 +294,11 @@ def _as_batch(cfg: ModelConfig, x, readability_scaled, rows):
     if x.shape[1:] != shape:
         raise ValueError(f"expected input shape {shape}, got {x.shape[1:]}")
     rows = np.arange(len(x)) if rows is None else np.asarray(rows, dtype=int)
-    fuses = cfg.arch == "cnn" and cfg.use_readability
-    if (readability_scaled is not None) != fuses:
-        raise ValueError(f"{cfg.arch} model was configured with use_readability={fuses}")
-    if not fuses:
+    if (readability_scaled is not None) != cfg.use_readability:
+        raise ValueError(
+            f"{cfg.arch} model was configured with use_readability={cfg.use_readability}"
+        )
+    if not cfg.use_readability:
         return x, None, rows, single
     readability = np.asarray(readability_scaled, dtype=float)
     readability = readability[None] if single else readability
@@ -582,6 +620,7 @@ def load_checkpoint(
         config = ModelConfig.from_dict(meta["config"])
         has_scaler = bool(meta["has_scaler"])
         extra = meta["extra"]
+        shapes = _tensor_shapes(config)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc})") from None
     if not isinstance(extra, dict):
@@ -590,7 +629,6 @@ def load_checkpoint(
 
     # The declared config fixes the file length; check it before any
     # tensor is allocated, so an edited shape cannot ask for huge arrays.
-    shapes = _tensor_shapes(config)
     expected = offset + 4 * sum(math.prod(shape) for _, shape in shapes)
     expected += 8 * 2 * N_READABILITY if has_scaler else 0
     if len(raw) != expected:

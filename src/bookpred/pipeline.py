@@ -1,12 +1,17 @@
 """End-to-end orchestration: featurization, training with validation
 based model selection, evaluation, baselines, and readability
 gradient attribution.
+
+One frozen ``TrainConfig`` tree configures a run: the training loop's
+own settings, the book section, an ``EncoderConfig`` and a
+``net.ModelConfig``. Its field defaults are the only place each default
+is written; the CLI derives its ``key=value`` keys from the same fields.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +47,6 @@ from .textstats import (
 
 __all__ = [
     "EncoderConfig",
-    "ModelSpec",
     "TrainConfig",
     "TrainResult",
     "EpochStats",
@@ -98,50 +102,17 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Architecture hyperparameters, before the input width is known."""
-
-    arch: str = "cnn"  # "cnn" | "book2vec"
-    window_sizes: tuple[int, ...] = (2, 3, 5, 7)
-    filters_per_window: int = 20
-    hidden_units: int = 50
-    dropout_p: float = 0.6
-    use_readability: bool = True
-
-    def to_model_config(self, input_dim: int, n_chunks: int) -> ModelConfig:
-        if self.arch == "book2vec":
-            return ModelConfig(
-                input_dim=input_dim,
-                arch="book2vec",
-                window_sizes=(),
-                filters_per_window=0,
-                hidden_units=self.hidden_units,
-                dropout_p=0.0,
-                n_chunks=1,
-                use_readability=False,
-            )
-        return ModelConfig(
-            input_dim=input_dim,
-            arch="cnn",
-            window_sizes=self.window_sizes,
-            filters_per_window=self.filters_per_window,
-            hidden_units=self.hidden_units,
-            dropout_p=self.dropout_p,
-            n_chunks=n_chunks,
-            use_readability=self.use_readability,
-        )
-
-
-@dataclass(frozen=True)
 class TrainConfig:
+    """Everything a run is configured by. ``model.input_dim`` stays 0 until
+    ``train`` sets it from the featurized inputs."""
+
     seed: int = 0
     epochs: int = 100
     batch_size: int = 32
     val_fraction: float = 0.2
     section: SectionSpec = field(default_factory=lambda: SectionSpec.first(1000))
-    n_chunks: int = 50
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    model: ModelSpec = field(default_factory=ModelSpec)
+    model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -201,11 +172,11 @@ def featurize_book(
         if cfg.model.arch == "book2vec":
             x = book_average(encode_hashed_bow(sentences, dim=dim, seed=seed))
         else:
-            x = encode_hashed_bow(sentences, dim=dim, seed=seed, n_chunks=cfg.n_chunks)
+            x = encode_hashed_bow(sentences, dim=dim, seed=seed, n_chunks=cfg.model.n_chunks)
     elif cfg.model.arch == "book2vec":
         x = book_average(_section_matrix(record, cfg))
     else:
-        x = chunk_average(_section_matrix(record, cfg), cfg.n_chunks)
+        x = chunk_average(_section_matrix(record, cfg), cfg.model.n_chunks)
     readability = None
     if need_readability:
         if sentences is None:
@@ -292,7 +263,7 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
         raise ValueError("cannot train on an empty corpus")
     train_set, val_set = split_train_val(corpus, cfg.val_fraction, cfg.seed)
 
-    use_readability = cfg.model.arch == "cnn" and cfg.model.use_readability
+    use_readability = cfg.model.use_readability
     x_train, raw_train = featurize_corpus(train_set, cfg, need_readability=use_readability)
     x_val, raw_val = featurize_corpus(val_set, cfg, need_readability=use_readability)
 
@@ -300,8 +271,7 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     r_train = _scaled_inputs(raw_train, scaler)
     r_val = _scaled_inputs(raw_val, scaler)
 
-    input_dim = x_train.shape[-1]
-    model_cfg = cfg.model.to_model_config(input_dim=input_dim, n_chunks=cfg.n_chunks)
+    model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss, dropout_ss = root.spawn(3)
@@ -375,9 +345,9 @@ def _check_featurization_match(params: ModelParams, cfg: TrainConfig) -> None:
     mc = params.config
     if cfg.model.arch != mc.arch:
         raise ValueError(f"checkpoint arch {mc.arch!r} but config says {cfg.model.arch!r}")
-    if mc.arch == "cnn" and cfg.n_chunks != mc.n_chunks:
+    if cfg.model.n_chunks != mc.n_chunks:
         raise ValueError(
-            f"checkpoint expects n_chunks={mc.n_chunks}, config has {cfg.n_chunks}"
+            f"checkpoint expects n_chunks={mc.n_chunks}, config has {cfg.model.n_chunks}"
         )
     if cfg.encoder.kind == "hashed" and cfg.encoder.dim != mc.input_dim:
         raise ValueError(
@@ -600,14 +570,13 @@ _FEATURE_META_TYPES = {
 
 
 def feature_meta(cfg: TrainConfig) -> dict:
-    meta = {
+    return {
         "section": str(cfg.section),
-        "n_chunks": cfg.n_chunks,
+        "n_chunks": cfg.model.n_chunks,
         "encoder_kind": cfg.encoder.kind,
         "encoder_dim": cfg.encoder.dim,
         "encoder_seed": cfg.encoder.seed,
     }
-    return meta
 
 
 def config_from_feature_meta(
@@ -615,11 +584,13 @@ def config_from_feature_meta(
     model_config: ModelConfig,
     semb_dir: Path | None = None,
 ) -> TrainConfig:
-    """Rebuild the featurization side of a TrainConfig from checkpoint
-    metadata; ``semb_dir`` supplies the .semb directory for external
-    encoders (it is not stored in checkpoints). A missing key, or a value
-    of the wrong type (a bool is not an int here), is a
-    ``net.CheckpointError`` that names the key."""
+    """The TrainConfig eval needs, rebuilt from a checkpoint's model config
+    and featurization metadata; ``semb_dir`` supplies the .semb directory
+    for external encoders (it is not stored in checkpoints). A missing
+    key, or a value of the wrong type (a bool is not an int here), is a
+    ``net.CheckpointError`` that names the key. The model config is the
+    one source of ``n_chunks``: a cnn's stored copy must agree with it,
+    and a book2vec's is not read (older files store 50 there)."""
     missing = [key for key in _FEATURE_META_TYPES if key not in meta]
     if missing:
         raise net.CheckpointError(
@@ -632,23 +603,17 @@ def config_from_feature_meta(
                 f"checkpoint featurization metadata {key} must be {kind.__name__}, "
                 f"got {value!r}"
             )
+    if model_config.arch == "cnn" and meta["n_chunks"] != model_config.n_chunks:
+        raise net.CheckpointError(
+            f"checkpoint featurization n_chunks {meta['n_chunks']} differs from "
+            f"its model's {model_config.n_chunks}"
+        )
     encoder = EncoderConfig(
         kind=meta["encoder_kind"],
         dim=meta["encoder_dim"],
         seed=meta["encoder_seed"],
         directory=semb_dir,
     )
-    spec = ModelSpec(
-        arch=model_config.arch,
-        window_sizes=model_config.window_sizes,
-        filters_per_window=model_config.filters_per_window,
-        hidden_units=model_config.hidden_units,
-        dropout_p=model_config.dropout_p,
-        use_readability=model_config.use_readability,
-    )
     return TrainConfig(
-        section=SectionSpec.parse(meta["section"]),
-        n_chunks=meta["n_chunks"],
-        encoder=encoder,
-        model=spec,
+        section=SectionSpec.parse(meta["section"]), encoder=encoder, model=model_config
     )

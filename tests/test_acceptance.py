@@ -26,7 +26,7 @@ from bookpred.embedding import (
 )
 from bookpred.metrics import mcnemar, weighted_f1
 from bookpred.net import ModelConfig
-from bookpred.pipeline import EncoderConfig, ModelSpec, TrainConfig
+from bookpred.pipeline import EncoderConfig, TrainConfig
 from bookpred.readability import readability_vector
 from bookpred.textstats import TextCounts
 
@@ -103,7 +103,7 @@ def run_readability_pipeline(root, trainval, test, out_dir: Path) -> dict:
             seed=9,
             epochs=200,
             encoder=encoder,
-            model=ModelSpec(use_readability=use_readability),
+            model=ModelConfig(use_readability=use_readability),
         )
         result = pipeline.train(trainval, cfg)
         report = pipeline.evaluate(result.params, result.scaler, test, cfg)

@@ -44,19 +44,19 @@ BAD_FEATURE_META = {
 
 @pytest.mark.parametrize("key", sorted(BAD_FEATURE_META))
 def test_feature_meta_type_names_key(key):
-    cfg = TrainConfig(encoder=EncoderConfig(dim=64), n_chunks=10)
+    cfg = TrainConfig(encoder=EncoderConfig(dim=64), model=ModelConfig(n_chunks=10))
     meta = {**pipeline.feature_meta(cfg), key: BAD_FEATURE_META[key]}
     with pytest.raises(net.CheckpointError, match=key):
         pipeline.config_from_feature_meta(meta, tiny_config(input_dim=64))
 
 
 def test_feature_meta_of_right_types_round_trips():
-    cfg = TrainConfig(encoder=EncoderConfig(dim=64, seed=3), n_chunks=10)
+    cfg = TrainConfig(encoder=EncoderConfig(dim=64, seed=3), model=ModelConfig(n_chunks=10))
     rebuilt = pipeline.config_from_feature_meta(
         pipeline.feature_meta(cfg), tiny_config(input_dim=64)
     )
-    assert (rebuilt.section, rebuilt.n_chunks, rebuilt.encoder) == (
-        cfg.section, cfg.n_chunks, cfg.encoder,
+    assert (rebuilt.section, rebuilt.model.n_chunks, rebuilt.encoder) == (
+        cfg.section, cfg.model.n_chunks, cfg.encoder,
     )
 
 
@@ -97,3 +97,46 @@ def test_scaler_flag_changes_declared_size(tmp_path):
     rewrite_meta(path, lambda meta: meta.update(has_scaler=True))
     with pytest.raises(net.CheckpointError, match="bytes"):
         net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"input_dim": 8.0},
+        {"hidden_units": 6.0},
+        {"window_sizes": [2.0, 3]},
+        {"use_readability": "yes"},
+        {"input_dim": 0},
+    ],
+    ids=["input_dim_float", "hidden_units_float", "window_sizes_float", "use_readability_str",
+         "input_dim_zero"],
+)
+def test_config_value_of_wrong_type_names_key(tmp_path, edit):
+    path = tmp_path / "m.bpmd"
+    net.save_checkpoint(path, init_params(tiny_config(), seed=0))
+    rewrite_meta(path, lambda meta: meta["config"].update(edit))
+    (key,) = edit
+    with pytest.raises(net.CheckpointError, match=key):
+        net.load_checkpoint(path)
+
+
+def test_config_missing_a_field_names_it(tmp_path):
+    # Every field has a default, so a missing one must not silently take it.
+    path = tmp_path / "m.bpmd"
+    net.save_checkpoint(path, init_params(tiny_config(hidden_units=50), seed=0))
+    rewrite_meta(path, lambda meta: meta["config"].pop("hidden_units"))
+    with pytest.raises(net.CheckpointError, match="hidden_units"):
+        net.load_checkpoint(path)
+
+
+def test_dropout_stored_as_int_loads_and_resaves_unchanged(tmp_path):
+    path = tmp_path / "m.bpmd"
+    net.save_checkpoint(path, init_params(tiny_config(dropout_p=0), seed=0))
+    params, _, _ = net.load_checkpoint(path)
+    net.save_checkpoint(tmp_path / "again.bpmd", params)
+    assert (tmp_path / "again.bpmd").read_bytes() == path.read_bytes()
+
+
+def test_no_tensor_is_built_before_input_dim_is_known():
+    with pytest.raises(ValueError, match="input_dim"):
+        init_params(tiny_config(input_dim=0), seed=0)

@@ -323,6 +323,27 @@ class TestTrainEvalFlow:
         assert code == 1
         assert err.startswith("error:") and key in err
 
+    def test_checkpoint_mistyped_config_value_exits_one(
+        self, corpus_dir, checkpoint, tmp_path, capsys
+    ):
+        raw = (checkpoint / "model.bpmd").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12 : 12 + meta_len])
+        meta["config"]["input_dim"] = float(meta["config"]["input_dim"])
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        broken = tmp_path / "broken.bpmd"
+        broken.write_bytes(
+            raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :]
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(broken),
+            "--manifest", str(corpus_dir / "manifest.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "input_dim" in err
+
     def test_book2vec_checkpoint_flows_through_eval(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "b2v.bpmd"
         code, _, _ = run(
@@ -431,6 +452,22 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "encoder.dim >= 8" in err and "missing.csv" not in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["model.arch=rnn", "model.n_chunks=3", "model.dropout_p=1.5", "model.hidden_units=0"],
+    )
+    def test_bad_model_setting_exits_one_before_reading_books(self, tmp_path, capsys, setting):
+        code, _, err = run(
+            capsys,
+            "train",
+            "--manifest", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "out"),
+            "--set", setting,
+        )
+        assert code == 1
+        field_name = setting.partition("=")[0].split(".")[1]
+        assert field_name in err and "missing.csv" not in err and "config keys" not in err
 
     def test_unknown_genre_manifest_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -8,11 +8,11 @@ from bookpred import embedding, net, pipeline, synth, textstats
 from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section
 from bookpred.embedding import chunk_average
 from bookpred.metrics import weighted_f1
+from bookpred.net import ModelConfig
 from bookpred.readability import readability_vector
 from bookpred.pipeline import (
     EncoderConfig,
     FeaturizationError,
-    ModelSpec,
     TrainConfig,
     attribute_readability,
     evaluate,
@@ -41,7 +41,7 @@ def fast_cfg(**overrides):
         epochs=3,
         batch_size=8,
         encoder=EncoderConfig(dim=64),
-        model=ModelSpec(filters_per_window=4, hidden_units=10),
+        model=ModelConfig(filters_per_window=4, hidden_units=10),
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
@@ -78,12 +78,12 @@ class TestTrain:
         with_r = train(tiny_corpus, fast_cfg())
         assert with_r.scaler is not None
         without_r = train(
-            tiny_corpus, fast_cfg(model=ModelSpec(use_readability=False))
+            tiny_corpus, fast_cfg(model=ModelConfig(use_readability=False))
         )
         assert without_r.scaler is None
 
     def test_book2vec_path(self, tiny_corpus):
-        cfg = fast_cfg(model=ModelSpec(arch="book2vec", hidden_units=12))
+        cfg = fast_cfg(model=ModelConfig(arch="book2vec", hidden_units=12))
         result = train(tiny_corpus, cfg)
         assert result.params.config.arch == "book2vec"
         assert result.scaler is None
@@ -170,7 +170,7 @@ class TestMajorityBaseline:
 
 class TestAttribution:
     def test_requires_readability_model(self, tiny_corpus):
-        cfg = fast_cfg(model=ModelSpec(use_readability=False), epochs=1)
+        cfg = fast_cfg(model=ModelConfig(use_readability=False), epochs=1)
         result = train(tiny_corpus, cfg)
         with pytest.raises(ValueError, match="readability"):
             attribute_readability(result.params, result.scaler, tiny_corpus, cfg)
@@ -261,7 +261,7 @@ class TestSinglePassFeaturization:
             text = record.text_path.read_text(encoding="utf-8")
             sentences = select_section(ref.segment_sentences(text), cfg.section)
             matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=64, seed=3)
-            assert x[i].tobytes() == chunk_average(matrix, cfg.n_chunks).tobytes()
+            assert x[i].tobytes() == chunk_average(matrix, cfg.model.n_chunks).tobytes()
             expected = readability_vector(ref.counts_from_sentences(sentences))
             assert raw[i].as_array().tobytes() == expected.as_array().tobytes()
 
@@ -269,7 +269,7 @@ class TestSinglePassFeaturization:
 class TestOneTokenizationPerBook:
     @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
     def test_tokenize_words_once_per_section_sentence(self, tiny_corpus, monkeypatch, arch):
-        cfg = fast_cfg(section=SectionSpec.parse("last:17"), model=ModelSpec(arch=arch))
+        cfg = fast_cfg(section=SectionSpec.parse("last:17"), model=ModelConfig(arch=arch))
         n_sentences = sum(
             len(pipeline.section_sentences(record, cfg.section)) for record in tiny_corpus
         )
@@ -311,7 +311,7 @@ class TestOneTokenizationPerBook:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert x.shape == (cfg.n_chunks, cfg.encoder.dim)
+        assert x.shape == (cfg.model.n_chunks, cfg.encoder.dim)
         assert peak < n_sentences * cfg.encoder.dim * 8 / 2
 
 
@@ -400,7 +400,7 @@ class TestReportSerialization:
         params, scaler, meta = net.load_checkpoint(path)
         rebuilt = pipeline.config_from_feature_meta(meta, params.config)
         assert rebuilt.section == cfg.section
-        assert rebuilt.n_chunks == cfg.n_chunks
+        assert rebuilt.model.n_chunks == cfg.model.n_chunks
         assert rebuilt.encoder.kind == cfg.encoder.kind
         assert rebuilt.encoder.dim == cfg.encoder.dim
         report_a = evaluate(result.params, result.scaler, tiny_corpus, cfg)
@@ -409,7 +409,7 @@ class TestReportSerialization:
 
     @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
     def test_trained_and_reloaded_models_predict_identically(self, tiny_corpus, tmp_path, arch):
-        cfg = fast_cfg(epochs=2, model=ModelSpec(arch=arch, filters_per_window=4, hidden_units=10))
+        cfg = fast_cfg(epochs=2, model=ModelConfig(arch=arch, filters_per_window=4, hidden_units=10))
         result = train(tiny_corpus, cfg)
         for trained in (result.params, result.final_params):
             path = tmp_path / "m.bpmd"
