@@ -24,7 +24,7 @@ for name, text in (("plain", PLAIN), ("ornate", ORNATE)):
     print(f"--- {name} passage ---")
     sentences = segment_sentences(text)
     print(f"sentences: {len(sentences)}")
-    print(f"first sentence: {sentences[0].text!r}")
+    print(f"first sentence: {sentences[0]!r}")
 
     counts = compute_counts(text)
     print(

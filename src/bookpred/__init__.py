@@ -64,7 +64,6 @@ from .readability import (
     smog,
 )
 from .textstats import (
-    Sentence,
     TextCounts,
     compute_counts,
     count_syllables,

@@ -26,7 +26,7 @@ from .embedding import SembError, encode_hashed_bow, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError
 from .readability import INDEX_NAMES, readability_vector
-from .textstats import compute_counts, counts_from_sentences, tokenize_sentences
+from .textstats import compute_counts, counts_from_sentences
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,6 +133,14 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
     return _with_options(TrainConfig(), _merged_options(args))
 
 
+def _featurize_config(args: argparse.Namespace) -> TrainConfig:
+    """The config of a command that builds no model (featurize,
+    export-vectors): ``model.*`` keys are accepted but not applied, so a
+    model setting that only training would reject cannot stop it."""
+    options = {k: v for k, v in _merged_options(args).items() if not k.startswith("model.")}
+    return _with_options(TrainConfig(), options)
+
+
 def cmd_readability(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(_READABILITY_HEADER)
@@ -167,17 +175,14 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
     """
     record, encoder, section, out_dir = task
     try:
-        sentences = pipeline.section_sentences(record, section)
-        if not sentences:
-            return record.book_id, None, "no sentences"
-        tokens = tokenize_sentences(s.text for s in sentences)
+        tokens = pipeline.section_tokens(record, section)
         matrix = encode_hashed_bow(tokens, dim=encoder.dim, seed=encoder.seed)
         semb_path = Path(out_dir) / f"{record.book_id}.semb"
         write_embeddings(matrix, semb_path)
         payload = {
             "readability_row": _counts_row(record.book_id, counts_from_sentences(tokens)),
             "semb_path": str(semb_path),
-            "n_sentences": len(sentences),
+            "n_sentences": len(tokens),
             "dim": encoder.dim,
         }
         return record.book_id, payload, None
@@ -186,7 +191,7 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    cfg = build_train_config(args)
+    cfg = _featurize_config(args)
     if cfg.encoder.kind != "hashed":
         print("featurize produces .semb files and only supports the hashed encoder",
               file=sys.stderr)
@@ -333,7 +338,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_export_vectors(args: argparse.Namespace) -> int:
-    cfg = build_train_config(args)
+    cfg = _featurize_config(args)
     corpus = load_corpus(args.manifest)
     n = pipeline.export_book_vectors(corpus, cfg, args.out)
     print(f"wrote {n} book vectors to {args.out}")

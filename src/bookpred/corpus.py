@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import enum
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -294,12 +296,13 @@ class SectionSpec:
         return f"{self.kind}:{self.k}"
 
 
-def select_section(sentences: Sequence, spec: SectionSpec) -> list:
-    """Take the leading/trailing ``k`` items, or everything. Short inputs
-    truncate gracefully; order is preserved."""
-    items = list(sentences)
-    if spec.kind == "full":
-        return items
+def select_section(items: Iterable, spec: SectionSpec) -> list:
+    """The leading or trailing ``k`` items, or all of them, in order; a
+    shorter input gives all it has. ``first:K`` takes only the first
+    ``k`` items from an iterator, so over a lazy sentence source it reads
+    only the first K sentences."""
     if spec.kind == "first":
-        return items[: spec.k]
-    return items[-spec.k :]
+        return list(islice(items, spec.k))
+    if spec.kind == "last":
+        return list(deque(items, maxlen=spec.k))
+    return list(items)

@@ -26,7 +26,7 @@ from .corpus import (
     select_section,
     split_train_val,
 )
-from .embedding import book_average, chunk_average, encode_hashed_bow, load_embeddings
+from .embedding import chunk_average, encode_hashed_bow, load_embeddings
 from .metrics import class_f1, confusion_counts, weighted_f1
 from .net import ModelConfig, ModelParams
 from .readability import (
@@ -37,13 +37,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import (
-    Sentence,
-    Tokens,
-    counts_from_sentences,
-    segment_sentences,
-    tokenize_sentences,
-)
+from .textstats import Tokens, counts_from_sentences, sentence_spans, tokenize_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -55,7 +49,7 @@ __all__ = [
     "AttributionReport",
     "FeaturizationError",
     "TrainingDivergedError",
-    "section_sentences",
+    "section_tokens",
     "featurize_corpus",
     "train",
     "predict_corpus",
@@ -121,36 +115,28 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def section_sentences(record: BookRecord, section: SectionSpec) -> list[Sentence]:
-    """The configured section of one book's sentences: the text is read
-    once, segmented once and the section selected once."""
+def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
+    """The configured section of one book, tokenized once: the text is
+    read once and segmented lazily, so ``first:K`` stops after the K-th
+    sentence. A section without sentences is a ``FeaturizationError``."""
     try:
         text = record.text_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FeaturizationError(f"book {record.book_id}: cannot read text ({exc})") from exc
-    return select_section(segment_sentences(text), section)
-
-
-def _hashed_tokens(record: BookRecord, cfg: TrainConfig) -> Tokens:
-    """The configured section of one book, tokenized once."""
-    sentences = section_sentences(record, cfg.section)
-    if not sentences:
+    tokens = tokenize_sentences(select_section(sentence_spans(text), section))
+    if not tokens:
         raise FeaturizationError(f"book {record.book_id}: no sentences")
-    return tokenize_sentences(s.text for s in sentences)
+    return tokens
 
 
 def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
-    """Sentence-embedding matrix for the configured book section."""
-    if cfg.encoder.kind == "hashed":
-        return encode_hashed_bow(
-            _hashed_tokens(record, cfg), dim=cfg.encoder.dim, seed=cfg.encoder.seed
-        )
+    """The configured section's rows of one book's .semb matrix."""
     semb_path = cfg.encoder.directory / f"{record.book_id}.semb"
     try:
         matrix = load_embeddings(semb_path)
     except Exception as exc:
         raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
-    rows = select_section(list(range(matrix.shape[0])), cfg.section)
+    rows = select_section(range(matrix.shape[0]), cfg.section)
     if not rows:
         raise FeaturizationError(f"book {record.book_id}: empty embedding matrix")
     return matrix[rows]
@@ -159,30 +145,29 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
 def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
 ) -> tuple[np.ndarray, ReadabilityVector | None]:
-    """Model inputs for one book: section-selected chunk sequence (or
-    averaged vector for book2vec) plus its raw readability scores.
+    """Model inputs for one book: the section's ``cfg.model.n_chunks``
+    chunk averages (the one averaged vector for book2vec, whose config
+    fixes one chunk) plus its raw readability scores.
 
     With the hashed encoder the section is tokenized once: the encoder
-    and the readability counts share those ``Tokens``, and the CNN's
-    chunk averages are built block by block, never the full matrix."""
-    sentences = None
+    and the readability counts share those ``Tokens``, and the chunk
+    averages are built block by block, never the full matrix."""
+    tokens = None
     if cfg.encoder.kind == "hashed":
-        sentences = _hashed_tokens(record, cfg)
-        dim, seed = cfg.encoder.dim, cfg.encoder.seed
-        if cfg.model.arch == "book2vec":
-            x = book_average(encode_hashed_bow(sentences, dim=dim, seed=seed))
-        else:
-            x = encode_hashed_bow(sentences, dim=dim, seed=seed, n_chunks=cfg.model.n_chunks)
-    elif cfg.model.arch == "book2vec":
-        x = book_average(_section_matrix(record, cfg))
+        tokens = section_tokens(record, cfg.section)
+        x = encode_hashed_bow(
+            tokens, dim=cfg.encoder.dim, seed=cfg.encoder.seed, n_chunks=cfg.model.n_chunks
+        )
     else:
         x = chunk_average(_section_matrix(record, cfg), cfg.model.n_chunks)
+    if cfg.model.arch == "book2vec":
+        x = x[0]
     readability = None
     if need_readability:
-        if sentences is None:
-            sentences = section_sentences(record, cfg.section)
+        if tokens is None:
+            tokens = section_tokens(record, cfg.section)
         try:
-            readability = readability_vector(counts_from_sentences(sentences))
+            readability = readability_vector(counts_from_sentences(tokens))
         except ValueError as exc:
             raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
     return x, readability
@@ -341,7 +326,15 @@ class BookPrediction:
     p_successful: float
 
 
-def _check_featurization_match(params: ModelParams, cfg: TrainConfig) -> None:
+def _model_inputs(
+    params: ModelParams,
+    scaler: ReadabilityScaler | None,
+    corpus: CorpusSet,
+    cfg: TrainConfig,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The featurized books and scaled readability rows (None when the
+    model fuses no readability) that ``params`` takes, after checking
+    that ``cfg`` featurizes the way the model was trained."""
     mc = params.config
     if cfg.model.arch != mc.arch:
         raise ValueError(f"checkpoint arch {mc.arch!r} but config says {cfg.model.arch!r}")
@@ -353,6 +346,10 @@ def _check_featurization_match(params: ModelParams, cfg: TrainConfig) -> None:
         raise ValueError(
             f"checkpoint expects input_dim={mc.input_dim}, encoder dim is {cfg.encoder.dim}"
         )
+    if mc.use_readability and scaler is None:
+        raise ValueError("model uses readability but no scaler was provided")
+    x, raw = featurize_corpus(corpus, cfg, need_readability=mc.use_readability)
+    return x, _scaled_inputs(raw, scaler if mc.use_readability else None)
 
 
 def predict_corpus(
@@ -362,12 +359,7 @@ def predict_corpus(
     cfg: TrainConfig,
 ) -> list[BookPrediction]:
     """Eval-mode predictions for every book, in corpus order."""
-    _check_featurization_match(params, cfg)
-    use_readability = params.config.use_readability
-    if use_readability and scaler is None:
-        raise ValueError("model uses readability but no scaler was provided")
-    x, raw = featurize_corpus(corpus, cfg, need_readability=use_readability)
-    scaled = _scaled_inputs(raw, scaler if use_readability else None)
+    x, scaled = _model_inputs(params, scaler, corpus, cfg)
     preds = _predict_blocks(params, x, scaled, cfg.batch_size)
     return [
         BookPrediction(
@@ -450,11 +442,7 @@ def attribute_readability(
     scaled readability inputs over the test books (eval mode)."""
     if not params.config.use_readability:
         raise ValueError("model was trained without readability fusion")
-    if scaler is None:
-        raise ValueError("model uses readability but no scaler was provided")
-    _check_featurization_match(params, cfg)
-    x, raw = featurize_corpus(test, cfg, need_readability=True)
-    scaled = _scaled_inputs(raw, scaler)
+    x, scaled = _model_inputs(params, scaler, test, cfg)
     grads = np.empty((len(test), net.N_READABILITY))
     for block in _blocks(len(test), cfg.batch_size):
         grads[block] = net.readability_output_gradient(
@@ -467,21 +455,17 @@ def attribute_readability(
 
 def export_book_vectors(corpus: CorpusSet, cfg: TrainConfig, out_path: str | Path) -> int:
     """Write one averaged embedding vector per book as CSV
-    (book_id, genre, then the vector components). Returns the row count."""
-    out_path = Path(out_path)
-    rows = []
-    dim = None
-    for record in corpus:
-        matrix = _section_matrix(record, cfg)
-        vec = book_average(matrix)
-        dim = len(vec)
-        rows.append((record.book_id, record.genre.value, vec))
+    (book_id, genre, then the vector components): the book2vec inputs of
+    ``cfg``'s section and encoder. Returns the row count."""
+    x, _ = featurize_corpus(
+        corpus, replace(cfg, model=ModelConfig(arch="book2vec")), need_readability=False
+    )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["book_id", "genre"] + [f"v{i}" for i in range(dim or 0)])
-        for book_id, genre, vec in rows:
-            writer.writerow([book_id, genre] + [f"{v:.9g}" for v in vec])
-    return len(rows)
+        writer.writerow(["book_id", "genre"] + [f"v{i}" for i in range(x.shape[-1])])
+        for record, vec in zip(corpus, x):
+            writer.writerow([record.book_id, record.genre.value] + [f"{v:.9g}" for v in vec])
+    return len(corpus)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,15 @@ readability scores are reproducible byte for byte. The rules are fixed:
   or at blank-line paragraph breaks, with a short abbreviation list
   suppressing false splits; one compiled regular expression finds the
   candidate boundaries, so the text is scanned in C, not character by
-  character in Python;
+  character in Python. ``sentence_spans`` yields each sentence's raw
+  span lazily, so a caller that needs the first K sentences segments
+  only those; ``segment_sentences`` lists them whitespace-normalized;
 * words are maximal runs of letters and digits, allowing internal
-  apostrophes and hyphens; ``tokenize_sentences`` tokenizes a book's
-  sentences once into ``Tokens`` (a first-sight vocabulary plus one id
-  per word), which the hashed encoder and the counts both read;
+  apostrophes and hyphens, so whitespace is never part of a word and a
+  raw span tokenizes exactly as its normalized string does;
+  ``tokenize_sentences`` tokenizes sentences once into ``Tokens`` (a
+  first-sight vocabulary plus one id per word), which the hashed
+  encoder and the counts both read;
 * syllables are counted as maximal vowel groups (a, e, i, o, u, y) with
   the terminal silent-e rule, floored at 1.
 """
@@ -20,17 +24,15 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 __all__ = [
-    "Sentence",
     "TextCounts",
     "Tokens",
+    "sentence_spans",
     "segment_sentences",
     "tokenize_words",
     "tokenize_sentences",
@@ -57,14 +59,6 @@ _VOWELS = frozenset("aeiouy")
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """One sentence of a document; ``text`` is whitespace-normalized."""
-
-    text: str
-    index: int
-
-
-@dataclass(frozen=True)
 class TextCounts:
     """The five count statistics every readability formula consumes."""
 
@@ -83,32 +77,41 @@ def _ends_with_abbreviation(chunk: str) -> bool:
     return token.lower() in _ABBREVIATIONS
 
 
-def segment_sentences(text: str) -> list[Sentence]:
-    """Split ``text`` into sentences.
+def sentence_spans(text: str) -> Iterator[str]:
+    """Yield the sentences of ``text`` lazily, each as its raw span.
 
     Boundaries are runs of ``.!?`` followed by whitespace (or end of
     text) and blank-line paragraph breaks. A trailing abbreviation
     (Mr., Mrs., Dr., St., vs., etc., e.g., i.e.) suppresses the split.
-    Empty segments are dropped; each sentence keeps every one of its
-    non-whitespace characters, internal whitespace collapsed to single
-    spaces. One regex search per candidate boundary drives the split.
+    Whitespace-only segments are dropped; a segment without words, such
+    as ``"—."``, is a sentence. One regex search per candidate boundary
+    drives the split, and the text after the last span yielded is not
+    scanned until the next one is asked for.
     """
-    pieces: list[str] = []
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
         if text[match.start()] == "\n":
             # A blank line is a paragraph break; its newlines start the
-            # next segment and are normalized away there.
-            pieces.append(text[start : match.start()])
-            start = match.start()
+            # next span, whose whitespace no word includes.
+            end = match.start()
         else:
-            segment = text[start : match.end()]
-            if not _ends_with_abbreviation(segment):
-                pieces.append(segment)
-                start = match.end()
-    pieces.append(text[start:])
-    normalized = filter(None, (" ".join(piece.split()) for piece in pieces))
-    return [Sentence(text=t, index=i) for i, t in enumerate(normalized)]
+            end = match.end()
+            if _ends_with_abbreviation(text[start:end]):
+                continue
+        span = text[start:end]
+        start = end
+        if span.strip():
+            yield span
+    span = text[start:]
+    if span.strip():
+        yield span
+
+
+def segment_sentences(text: str) -> list[str]:
+    """The sentences of ``text`` as ``sentence_spans`` finds them, each
+    with its internal whitespace collapsed to single spaces and its ends
+    stripped, so every non-whitespace character is kept."""
+    return [" ".join(span.split()) for span in sentence_spans(text)]
 
 
 def tokenize_words(sentence: str) -> list[str]:
@@ -188,44 +191,34 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def counts_from_sentences(sentences: list[Sentence] | Tokens) -> TextCounts:
-    """Aggregate counts over pre-segmented sentences, or over their
-    ``Tokens`` when the caller has already tokenized them.
+def counts_from_sentences(tokens: Tokens) -> TextCounts:
+    """Aggregate counts over tokenized sentences.
 
     Characters are letters and digits inside words only; punctuation,
     whitespace, and in-word apostrophes/hyphens are excluded.
     Polysyllables are words of three or more syllables. Characters and
     syllables are computed once per distinct token and weighted by its
-    frequency, which ``Tokens`` gives by one ``bincount`` over its ids.
+    frequency, which one ``bincount`` over the ids gives.
     """
-    if isinstance(sentences, Tokens):
-        words = len(sentences.ids)
-        counts = np.bincount(sentences.ids, minlength=len(sentences.vocab))
-        frequency = zip(sentences.vocab, counts.tolist())
-    else:
-        counter = Counter(
-            chain.from_iterable(tokenize_words(sentence.text) for sentence in sentences)
-        )
-        words = counter.total()
-        frequency = counter.items()
+    frequency = np.bincount(tokens.ids, minlength=len(tokens.vocab)).tolist()
     characters = 0
     syllables = 0
     polysyllables = 0
-    for token, n in frequency:
+    for token, n in zip(tokens.vocab, frequency):
         characters += n * sum(1 for ch in token if ch.isalnum())
         syl = count_syllables(token)
         syllables += n * syl
         if syl >= 3:
             polysyllables += n
     return TextCounts(
-        words=words,
+        words=len(tokens.ids),
         characters=characters,
-        sentences=len(sentences),
+        sentences=len(tokens),
         syllables=syllables,
         polysyllables=polysyllables,
     )
 
 
 def compute_counts(text: str) -> TextCounts:
-    """Segment ``text`` and return its aggregate count statistics."""
-    return counts_from_sentences(segment_sentences(text))
+    """Segment and tokenize ``text`` and return its aggregate count statistics."""
+    return counts_from_sentences(tokenize_sentences(sentence_spans(text)))

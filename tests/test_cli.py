@@ -3,6 +3,7 @@ import io
 import json
 import struct
 
+import numpy as np
 import pytest
 
 import text_reference as ref
@@ -404,6 +405,22 @@ class TestExportVectorsCommand:
         assert len(lines) == 21
         assert len(lines[0].split(",")) == 66
 
+    def test_semb_files_of_different_dims_exit_one(self, tmp_path, capsys):
+        manifest = synth.make_readability_corpus(
+            tmp_path, n_books=4, seed=5, embedding_dim=8, sentences_per_book=(5, 8)
+        )
+        write_embeddings(np.ones((6, 5)), tmp_path / "semb" / "book0002.semb")
+        out_csv = tmp_path / "vectors.csv"
+        code, _, err = run(
+            capsys,
+            "export-vectors",
+            "--manifest", str(manifest),
+            "--out", str(out_csv),
+            "--semb-dir", str(tmp_path / "semb"),
+        )
+        assert code == 1
+        assert "inconsistent embedding dims" in err and "[5, 8]" in err
+
 
 class TestConfigHandling:
     def test_unknown_config_key_is_error(self, corpus_dir, tmp_path, capsys):
@@ -468,6 +485,22 @@ class TestConfigHandling:
         assert code == 1
         field_name = setting.partition("=")[0].split(".")[1]
         assert field_name in err and "missing.csv" not in err and "config keys" not in err
+
+    @pytest.mark.parametrize("command", ["featurize", "export-vectors"])
+    def test_model_settings_leave_featurizing_commands_unchanged(
+        self, corpus_dir, tmp_path, capsys, command
+    ):
+        # Both runs write to the same place: featurized.csv names its files.
+        out = tmp_path / "out"
+        outputs = []
+        for extra in ([], ["--set", "model.n_chunks=3"]):
+            argv = [command, "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(out)]
+            argv += ["--jobs", "1"] if command == "featurize" else []
+            code, _, err = run(capsys, *argv, "--set", "encoder.dim=16", *extra)
+            assert code == 0, err
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            outputs.append({f.name: f.read_bytes() for f in files})
+        assert outputs[0] == outputs[1]
 
     def test_unknown_genre_manifest_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

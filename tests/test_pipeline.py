@@ -6,7 +6,7 @@ import pytest
 import text_reference as ref
 from bookpred import embedding, net, pipeline, synth, textstats
 from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section
-from bookpred.embedding import chunk_average
+from bookpred.embedding import book_average, chunk_average, load_embeddings, write_embeddings
 from bookpred.metrics import weighted_f1
 from bookpred.net import ModelConfig
 from bookpred.readability import readability_vector
@@ -33,6 +33,17 @@ def tiny_corpus(tmp_path_factory):
         root, n_books=24, seed=101, sentences_per_book=(20, 30), marker_rate=0.8
     )
     return load_corpus(manifest)
+
+
+@pytest.fixture(scope="module")
+def tiny_semb_dir(tiny_corpus, tmp_path_factory):
+    """A .semb file per ``tiny_corpus`` book, one random row per sentence."""
+    root = tmp_path_factory.mktemp("tiny_semb")
+    rng = np.random.default_rng(7)
+    for record in tiny_corpus:
+        n = len(ref.segment_sentences(record.text_path.read_text(encoding="utf-8")))
+        write_embeddings(rng.standard_normal((n, 8)), root / f"{record.book_id}.semb")
+    return root
 
 
 def fast_cfg(**overrides):
@@ -223,14 +234,13 @@ class TestExportVectors:
         assert header[:2] == ["book_id", "genre"]
         assert len(header) == 2 + 64
 
-        from bookpred.embedding import book_average
-        from bookpred.pipeline import _section_matrix
-
         first = lines[1].split(",")
         record = tiny_corpus.records[0]
         assert first[0] == record.book_id
         assert first[1] == record.genre.value
-        expected = book_average(_section_matrix(record, cfg))
+        text = record.text_path.read_text(encoding="utf-8")
+        sentences = select_section(ref.segment_sentences(text), cfg.section)
+        expected = book_average(ref.encode_hashed_bow([s.text for s in sentences], dim=64))
         parsed = np.array([float(v) for v in first[2:]])
         assert np.allclose(parsed, expected, rtol=2e-7, atol=1e-12)
 
@@ -246,22 +256,58 @@ class TestExportVectors:
 class TestSinglePassFeaturization:
     def test_one_segmentation_per_book(self, tiny_corpus, monkeypatch):
         texts = []
-        segment = pipeline.segment_sentences
+        spans = pipeline.sentence_spans
         monkeypatch.setattr(
-            pipeline, "segment_sentences", lambda text: texts.append(text) or segment(text)
+            pipeline, "sentence_spans", lambda text: texts.append(text) or spans(text)
         )
         pipeline.featurize_corpus(tiny_corpus, fast_cfg())
         assert len(texts) == len(tiny_corpus)
 
-    @pytest.mark.parametrize("section", ["first:1000", "last:7", "full"])
-    def test_matches_reference_featurization(self, tiny_corpus, section):
-        cfg = fast_cfg(section=SectionSpec.parse(section), encoder=EncoderConfig(dim=64, seed=3))
+    def test_first_k_segments_only_k_sentences(self, tiny_corpus, monkeypatch):
+        yielded = []
+        spans = pipeline.sentence_spans
+
+        def counting(text):
+            for span in spans(text):
+                yielded.append(span)
+                yield span
+
+        monkeypatch.setattr(pipeline, "sentence_spans", counting)
+        tokens = pipeline.section_tokens(tiny_corpus.records[0], SectionSpec.first(3))
+        assert len(tokens) == len(yielded) == 3
+
+    @pytest.mark.parametrize(
+        "section, encoder, arch",
+        [
+            pytest.param(s, e, a, id=s if (e, a) == ("hashed", "cnn") else f"{e}-{a}-{s}")
+            for e in ("hashed", "semb")
+            for a in ("cnn", "book2vec")
+            for s in ("first:1000", "last:7", "full")
+        ],
+    )
+    def test_matches_reference_featurization(
+        self, tiny_corpus, tiny_semb_dir, section, encoder, arch
+    ):
+        if encoder == "hashed":
+            encoder_cfg = EncoderConfig(dim=64, seed=3)
+        else:
+            encoder_cfg = EncoderConfig(kind="external", directory=tiny_semb_dir)
+        cfg = fast_cfg(
+            section=SectionSpec.parse(section), encoder=encoder_cfg, model=ModelConfig(arch=arch)
+        )
         x, raw = pipeline.featurize_corpus(tiny_corpus, cfg)
         for i, record in enumerate(tiny_corpus):
             text = record.text_path.read_text(encoding="utf-8")
             sentences = select_section(ref.segment_sentences(text), cfg.section)
-            matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=64, seed=3)
-            assert x[i].tobytes() == chunk_average(matrix, cfg.model.n_chunks).tobytes()
+            if encoder == "hashed":
+                matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=64, seed=3)
+            else:
+                semb = load_embeddings(tiny_semb_dir / f"{record.book_id}.semb")
+                matrix = np.array(select_section(semb, cfg.section))
+            if arch == "book2vec":
+                assert x[i].tobytes() == book_average(matrix).tobytes()
+            else:
+                assert x[i].tobytes() == chunk_average(matrix, cfg.model.n_chunks).tobytes()
             expected = readability_vector(ref.counts_from_sentences(sentences))
             assert raw[i].as_array().tobytes() == expected.as_array().tobytes()
 
@@ -271,7 +317,7 @@ class TestOneTokenizationPerBook:
     def test_tokenize_words_once_per_section_sentence(self, tiny_corpus, monkeypatch, arch):
         cfg = fast_cfg(section=SectionSpec.parse("last:17"), model=ModelConfig(arch=arch))
         n_sentences = sum(
-            len(pipeline.section_sentences(record, cfg.section)) for record in tiny_corpus
+            len(pipeline.section_tokens(record, cfg.section)) for record in tiny_corpus
         )
         calls = []
         tokenize = textstats.tokenize_words

@@ -6,6 +6,8 @@ from bookpred.textstats import (
     count_syllables,
     counts_from_sentences,
     segment_sentences,
+    sentence_spans,
+    tokenize_sentences,
     tokenize_words,
 )
 
@@ -13,12 +15,11 @@ from bookpred.textstats import (
 class TestSegmentSentences:
     def test_unambiguous_terminators(self):
         sents = segment_sentences("I came. I saw. I conquered.")
-        assert [s.text for s in sents] == ["I came.", "I saw.", "I conquered."]
-        assert [s.index for s in sents] == [0, 1, 2]
+        assert sents == ["I came.", "I saw.", "I conquered."]
 
     def test_abbreviation_suppresses_split(self):
         sents = segment_sentences("Dr. Smith arrived. He sat.")
-        assert [s.text for s in sents] == ["Dr. Smith arrived.", "He sat."]
+        assert sents == ["Dr. Smith arrived.", "He sat."]
 
     def test_all_abbreviations(self):
         # every listed abbreviation suppresses its split, including a
@@ -33,11 +34,11 @@ class TestSegmentSentences:
 
     def test_paragraph_break_is_boundary(self):
         sents = segment_sentences("a line of verse\n\nanother stanza line")
-        assert [s.text for s in sents] == ["a line of verse", "another stanza line"]
+        assert sents == ["a line of verse", "another stanza line"]
 
     def test_single_newline_is_not_a_boundary(self):
         sents = segment_sentences("wrapped\nline one sentence.")
-        assert [s.text for s in sents] == ["wrapped line one sentence."]
+        assert sents == ["wrapped line one sentence."]
 
     def test_exclamation_and_question(self):
         sents = segment_sentences("Stop! Why? Because.")
@@ -45,7 +46,7 @@ class TestSegmentSentences:
 
     def test_terminator_runs_stay_in_sentence(self):
         sents = segment_sentences("What?! Really...")
-        assert [s.text for s in sents] == ["What?!", "Really..."]
+        assert sents == ["What?!", "Really..."]
 
     def test_preserves_all_nonwhitespace_in_order(self):
         texts = [
@@ -61,13 +62,18 @@ class TestSegmentSentences:
             texts.append("".join(rng.choice(alphabet, size=rng.integers(0, 200))))
         for text in texts:
             sents = segment_sentences(text)
-            joined = "".join("".join(s.text.split()) for s in sents)
+            joined = "".join("".join(s.split()) for s in sents)
             assert joined == "".join(text.split())
 
     def test_sentence_texts_are_trimmed_nonempty(self):
         for s in segment_sentences("  a.   b!  \n\n  c  "):
-            assert s.text == s.text.strip()
-            assert s.text
+            assert s == s.strip()
+            assert s
+
+    def test_spans_are_raw_and_keep_wordless_sentences(self):
+        text = "  a.\tb!\n\n \u2014.  \n \n  c  "
+        assert list(sentence_spans(text)) == ["  a.", "\tb!", "\n\n \u2014.", "\n \n  c  "]
+        assert segment_sentences(text) == ["a.", "b!", "\u2014.", "c"]
 
 
 class TestTokenizeWords:
@@ -173,10 +179,11 @@ class TestComputeCounts:
         for _ in range(100):
             text = " ".join(rng.choice(vocab, size=rng.integers(0, 80)))
             per_sentence = sum(
-                len(tokenize_words(s.text)) for s in segment_sentences(text)
+                len(tokenize_words(s)) for s in segment_sentences(text)
             )
             assert per_sentence == len(tokenize_words(text))
 
     def test_counts_from_sentences_matches_compute_counts(self):
         text = "Dr. Smith arrived late. He sat down! Nobody asked why."
-        assert counts_from_sentences(segment_sentences(text)) == compute_counts(text)
+        tokens = tokenize_sentences(segment_sentences(text))
+        assert counts_from_sentences(tokens) == compute_counts(text)

@@ -10,13 +10,23 @@ tests require the package to agree with them exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from bookpred.embedding import _hash64
-from bookpred.textstats import Sentence, TextCounts, count_syllables, tokenize_words
+from bookpred.textstats import TextCounts, count_syllables, tokenize_words
 
 _ABBREVIATIONS = frozenset({"mr.", "mrs.", "dr.", "st.", "vs.", "etc.", "e.g.", "i.e."})
 _TERMINATORS = ".!?"
+
+
+@dataclass(frozen=True)
+class Sentence:
+    """One sentence of a document; ``text`` is whitespace-normalized."""
+
+    text: str
+    index: int
 
 
 def _ends_with_abbreviation(chunk: str) -> bool:
