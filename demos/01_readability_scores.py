@@ -34,7 +34,7 @@ for name, text in (("plain", PLAIN), ("ornate", ORNATE)):
     )
 
     vector = readability_vector(counts)
-    for index_name, value in zip(INDEX_NAMES, vector.as_array()):
+    for index_name, value in zip(INDEX_NAMES, vector):
         print(f"  {index_name:5s} {value:8.2f}")
     print()
 
@@ -56,5 +56,4 @@ doubled = TextCounts(
     polysyllables=2 * c.polysyllables,
 )
 print("\nscale invariance check (max abs diff):",
-      max(abs(a - b) for a, b in zip(readability_vector(c).as_array(),
-                                     readability_vector(doubled).as_array())))
+      max(abs(a - b) for a, b in zip(readability_vector(c), readability_vector(doubled))))

@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory() as tmp:
     manifest = synth.make_readability_corpus(root, n_books=120, seed=8, embedding_dim=32)
     corpus = load_corpus(manifest)
     trainval, test = split_train_val(corpus, 0.25, seed=3)
-    encoder = EncoderConfig(kind="external", dim=32, directory=root / "semb")
+    encoder = EncoderConfig(dim=32, directory=root / "semb")
 
     reports = {}
     for use_readability in (True, False):

@@ -53,7 +53,6 @@ from .pipeline import (
 )
 from .readability import (
     ReadabilityScaler,
-    ReadabilityVector,
     apply_scaler,
     ari,
     cli_index,

@@ -104,9 +104,8 @@ def _merged_options(args: argparse.Namespace) -> dict[str, str]:
         "seed": getattr(args, "seed", None),
         "section": getattr(args, "section", None),
         "model.arch": getattr(args, "model", None),
+        "encoder.directory": getattr(args, "semb_dir", None),
     }
-    if getattr(args, "semb_dir", None):
-        flags.update({"encoder.kind": "external", "encoder.directory": args.semb_dir})
     values.update({key: str(value) for key, value in flags.items() if value is not None})
     return values
 
@@ -161,8 +160,7 @@ def _counts_row(book_id: str, counts) -> list[str]:
         str(counts.polysyllables),
     ]
     if counts.words > 0 and counts.sentences > 0:
-        vec = readability_vector(counts)
-        row += [repr(v) for v in vec.as_array().tolist()]
+        row += [repr(v) for v in readability_vector(counts).tolist()]
     else:
         row += ["NA"] * len(INDEX_NAMES)
     return row

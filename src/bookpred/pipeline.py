@@ -32,7 +32,6 @@ from .net import ModelConfig, ModelParams
 from .readability import (
     INDEX_NAMES,
     ReadabilityScaler,
-    ReadabilityVector,
     apply_scaler,
     fit_scaler,
     readability_vector,
@@ -78,21 +77,22 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """How sentence vectors are produced: the built-in hashed
-    bag-of-words encoder, or externally computed .semb files."""
+    """How sentence vectors are produced: externally computed .semb files
+    when ``directory`` is set, otherwise the built-in hashed bag-of-words
+    encoder."""
 
-    kind: str = "hashed"  # "hashed" | "external"
     dim: int = 512
     seed: int = 0
     directory: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("hashed", "external"):
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.kind == "external" and self.directory is None:
-            raise ValueError("external encoder needs a directory of .semb files")
         if self.kind == "hashed" and self.dim < 8:
             raise ValueError(f"hashed encoder needs encoder.dim >= 8, got {self.dim}")
+
+    @property
+    def kind(self) -> str:
+        """``"external"`` with a .semb directory, otherwise ``"hashed"``."""
+        return "hashed" if self.directory is None else "external"
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,10 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
 
 def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
-) -> tuple[np.ndarray, ReadabilityVector | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Model inputs for one book: the section's ``cfg.model.n_chunks``
     chunk averages (the one averaged vector for book2vec, whose config
-    fixes one chunk) plus its raw readability scores.
+    fixes one chunk) plus its (5,) raw readability scores.
 
     With the hashed encoder the section is tokenized once: the encoder
     and the readability counts share those ``Tokens``, and the chunk
@@ -175,12 +175,12 @@ def featurize_book(
 
 def featurize_corpus(
     corpus: CorpusSet, cfg: TrainConfig, need_readability: bool = True
-) -> tuple[np.ndarray, list[ReadabilityVector] | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Model inputs for every book, in corpus order: one preallocated
     (N, n_chunks, dim) array ((N, dim) for book2vec), filled book by book,
-    plus the raw readability scores when asked for."""
+    plus the (N, 5) raw readability scores when asked for."""
     x = np.zeros((0,))
-    readability = [] if need_readability else None
+    readability = np.empty((len(corpus), net.N_READABILITY)) if need_readability else None
     for i, record in enumerate(corpus):
         book_x, book_readability = featurize_book(record, cfg, need_readability)
         if i == 0:
@@ -190,7 +190,7 @@ def featurize_corpus(
             raise FeaturizationError(f"inconsistent embedding dims across corpus: {dims}")
         x[i] = book_x
         if readability is not None:
-            readability.append(book_readability)
+            readability[i] = book_readability
     return x, readability
 
 
@@ -210,28 +210,14 @@ class TrainResult:
     final_params: ModelParams
 
 
-def _scaled_inputs(
-    readability_raw: list[ReadabilityVector] | None, scaler: ReadabilityScaler | None
-) -> np.ndarray | None:
-    """(N, 5) scaled readability rows, or None without a scaler."""
-    if scaler is None:
-        return None
-    return np.array([apply_scaler(scaler, r).as_array() for r in readability_raw])
-
-
 def _blocks(n: int, size: int):
     return (slice(start, start + size) for start in range(0, n, size))
 
 
-def _predict_blocks(
-    params: ModelParams, x: np.ndarray, scaled: np.ndarray | None, size: int
-) -> list[tuple[SuccessLabel, float]]:
-    """Eval-mode (label, probability) for every row of ``x``, one pass per block."""
-    return [
-        pred
-        for block in _blocks(len(x), size)
-        for pred in net.predict(params, x[block], None if scaled is None else scaled[block])
-    ]
+def _predict_blocks(params: ModelParams, batches) -> list[tuple[SuccessLabel, float]]:
+    """Eval-mode (label, probability) for every book of each ``(x, scaled)``
+    block, one pass per block, in order."""
+    return [pred for x, scaled in batches for pred in net.predict(params, x, scaled)]
 
 
 def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
@@ -253,8 +239,12 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     x_val, raw_val = featurize_corpus(val_set, cfg, need_readability=use_readability)
 
     scaler = fit_scaler(raw_train) if use_readability else None
-    r_train = _scaled_inputs(raw_train, scaler)
-    r_val = _scaled_inputs(raw_val, scaler)
+    r_train = apply_scaler(scaler, raw_train) if use_readability else None
+    r_val = apply_scaler(scaler, raw_val) if use_readability else None
+    val_batches = [
+        (x_val[b], None if r_val is None else r_val[b])
+        for b in _blocks(len(val_set), cfg.batch_size)
+    ]
 
     model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
 
@@ -292,7 +282,7 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
         train_loss = float(np.mean(np.concatenate(epoch_losses)))
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        val_preds = _predict_blocks(params, x_val, r_val, cfg.batch_size)
+        val_preds = _predict_blocks(params, val_batches)
         val_f1 = weighted_f1([label for label, _ in val_preds], y_val)
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_weighted_f1=val_f1))
         if val_f1 > best_f1:
@@ -326,15 +316,18 @@ class BookPrediction:
     p_successful: float
 
 
-def _model_inputs(
+def _eval_batches(
     params: ModelParams,
     scaler: ReadabilityScaler | None,
     corpus: CorpusSet,
     cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The featurized books and scaled readability rows (None when the
-    model fuses no readability) that ``params`` takes, after checking
-    that ``cfg`` featurizes the way the model was trained."""
+):
+    """The inputs ``params`` takes, one ``cfg.batch_size`` block of books at
+    a time, in corpus order: yields each block's featurized books and its
+    scaled readability rows (None when the model fuses no readability),
+    after checking that ``cfg`` featurizes the way the model was trained.
+    Only one block is featurized at a time, so memory is bounded by the
+    batch, not the corpus."""
     mc = params.config
     if cfg.model.arch != mc.arch:
         raise ValueError(f"checkpoint arch {mc.arch!r} but config says {cfg.model.arch!r}")
@@ -348,8 +341,11 @@ def _model_inputs(
         )
     if mc.use_readability and scaler is None:
         raise ValueError("model uses readability but no scaler was provided")
-    x, raw = featurize_corpus(corpus, cfg, need_readability=mc.use_readability)
-    return x, _scaled_inputs(raw, scaler if mc.use_readability else None)
+    for block in _blocks(len(corpus), cfg.batch_size):
+        x, raw = featurize_corpus(
+            replace(corpus, records=corpus.records[block]), cfg, mc.use_readability
+        )
+        yield x, (apply_scaler(scaler, raw) if mc.use_readability else None)
 
 
 def predict_corpus(
@@ -359,8 +355,7 @@ def predict_corpus(
     cfg: TrainConfig,
 ) -> list[BookPrediction]:
     """Eval-mode predictions for every book, in corpus order."""
-    x, scaled = _model_inputs(params, scaler, corpus, cfg)
-    preds = _predict_blocks(params, x, scaled, cfg.batch_size)
+    preds = _predict_blocks(params, _eval_batches(params, scaler, corpus, cfg))
     return [
         BookPrediction(
             book_id=record.book_id,
@@ -442,12 +437,12 @@ def attribute_readability(
     scaled readability inputs over the test books (eval mode)."""
     if not params.config.use_readability:
         raise ValueError("model was trained without readability fusion")
-    x, scaled = _model_inputs(params, scaler, test, cfg)
-    grads = np.empty((len(test), net.N_READABILITY))
-    for block in _blocks(len(test), cfg.batch_size):
-        grads[block] = net.readability_output_gradient(
-            params, x[block], scaled[block], target=target
-        )
+    if len(test) == 0:
+        raise ValueError("attribution needs at least one book")
+    grads = np.concatenate([
+        net.readability_output_gradient(params, x, scaled, target=target)
+        for x, scaled in _eval_batches(params, scaler, test, cfg)
+    ])
     return AttributionReport(
         mean_gradient=grads.sum(axis=0) / len(test), n_books=len(test), target=target
     )
@@ -570,7 +565,8 @@ def config_from_feature_meta(
 ) -> TrainConfig:
     """The TrainConfig eval needs, rebuilt from a checkpoint's model config
     and featurization metadata; ``semb_dir`` supplies the .semb directory
-    for external encoders (it is not stored in checkpoints). A missing
+    an external encoder needs (it is not stored in checkpoints) and is not
+    used for a hashed one. A missing
     key, or a value of the wrong type (a bool is not an int here), is a
     ``net.CheckpointError`` that names the key. The model config is the
     one source of ``n_chunks``: a cnn's stored copy must agree with it,
@@ -592,11 +588,18 @@ def config_from_feature_meta(
             f"checkpoint featurization n_chunks {meta['n_chunks']} differs from "
             f"its model's {model_config.n_chunks}"
         )
+    kind = meta["encoder_kind"]
+    if kind not in ("hashed", "external"):
+        raise net.CheckpointError(
+            f"checkpoint featurization metadata encoder_kind must be 'hashed' or "
+            f"'external', got {kind!r}"
+        )
+    if kind == "external" and semb_dir is None:
+        raise ValueError("external encoder needs a directory of .semb files")
     encoder = EncoderConfig(
-        kind=meta["encoder_kind"],
         dim=meta["encoder_dim"],
         seed=meta["encoder_seed"],
-        directory=semb_dir,
+        directory=semb_dir if kind == "external" else None,
     )
     return TrainConfig(
         section=SectionSpec.parse(meta["section"]), encoder=encoder, model=model_config

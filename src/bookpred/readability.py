@@ -1,7 +1,8 @@
-"""The five readability indices and the 5-dimensional score vector.
+"""The five readability indices and the training-set z-scaler.
 
-Score order is fixed everywhere (training, attribution, serialization):
-``[FRES, FKG, SMOG, CLI, ARI]``.
+A book's scores are a ``(5,)`` float64 array and a corpus's an ``(N, 5)``
+array, in the order fixed everywhere (training, attribution,
+serialization): ``[FRES, FKG, SMOG, CLI, ARI]``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .textstats import TextCounts
 
 __all__ = [
     "INDEX_NAMES",
-    "ReadabilityVector",
     "ReadabilityScaler",
     "fres",
     "fkg",
@@ -28,27 +28,6 @@ __all__ = [
 ]
 
 INDEX_NAMES = ("fres", "fkg", "smog", "cli", "ari")
-
-
-@dataclass(frozen=True)
-class ReadabilityVector:
-    """The five scores in fixed order [FRES, FKG, SMOG, CLI, ARI]."""
-
-    fres: float
-    fkg: float
-    smog: float
-    cli: float
-    ari: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fres, self.fkg, self.smog, self.cli, self.ari])
-
-    @classmethod
-    def from_array(cls, values) -> "ReadabilityVector":
-        v = np.asarray(values, dtype=float)
-        if v.shape != (5,):
-            raise ValueError(f"readability vector must have 5 components, got shape {v.shape}")
-        return cls(*(float(x) for x in v))
 
 
 def _require(counts: TextCounts, words: bool = False, sentences: bool = False) -> None:
@@ -64,16 +43,10 @@ def fres(c: TextCounts) -> float:
     return 206.835 - 1.015 * (c.words / c.sentences) - 84.6 * (c.syllables / c.words)
 
 
-def fkg(c: TextCounts, negative_syllable_term: bool = False) -> float:
-    """Flesch-Kincaid Grade. Higher means harder text.
-
-    ``negative_syllable_term`` flips the syllable coefficient to -11.8,
-    a sign variant that circulates in some sources; the default +11.8
-    is the standard grade formula.
-    """
+def fkg(c: TextCounts) -> float:
+    """Flesch-Kincaid Grade. Higher means harder text."""
     _require(c, words=True, sentences=True)
-    coeff = -11.8 if negative_syllable_term else 11.8
-    return 0.39 * (c.words / c.sentences) + coeff * (c.syllables / c.words) - 15.59
+    return 0.39 * (c.words / c.sentences) + 11.8 * (c.syllables / c.words) - 15.59
 
 
 def smog(c: TextCounts) -> float:
@@ -96,15 +69,10 @@ def ari(c: TextCounts) -> float:
     return 4.71 * (c.characters / c.words) + 0.5 * (c.words / c.sentences) - 21.43
 
 
-def readability_vector(c: TextCounts, negative_syllable_term: bool = False) -> ReadabilityVector:
-    """All five indices in fixed order [FRES, FKG, SMOG, CLI, ARI]."""
-    return ReadabilityVector(
-        fres=fres(c),
-        fkg=fkg(c, negative_syllable_term=negative_syllable_term),
-        smog=smog(c),
-        cli=cli_index(c),
-        ari=ari(c),
-    )
+def readability_vector(c: TextCounts) -> np.ndarray:
+    """All five indices as a (5,) float64 array, in the order
+    [FRES, FKG, SMOG, CLI, ARI]."""
+    return np.array([fres(c), fkg(c), smog(c), cli_index(c), ari(c)])
 
 
 @dataclass(frozen=True)
@@ -119,16 +87,16 @@ class ReadabilityScaler:
     std: np.ndarray
 
 
-def fit_scaler(train_vectors: list[ReadabilityVector]) -> ReadabilityScaler:
-    if len(train_vectors) < 2:
+def fit_scaler(rows: np.ndarray) -> ReadabilityScaler:
+    """The scaler of the (N, 5) raw score rows of the training books."""
+    if len(rows) < 2:
         raise ValueError("fit_scaler needs at least 2 training vectors")
-    matrix = np.stack([v.as_array() for v in train_vectors])
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)  # population std
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)  # population std
     std = np.where(std < 1e-12, 1.0, std)
     return ReadabilityScaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: ReadabilityScaler, v: ReadabilityVector) -> ReadabilityVector:
-    scaled = (v.as_array() - scaler.mean) / scaler.std
-    return ReadabilityVector.from_array(scaled)
+def apply_scaler(scaler: ReadabilityScaler, rows: np.ndarray) -> np.ndarray:
+    """Scaled scores of any (..., 5) array of raw score rows."""
+    return (rows - scaler.mean) / scaler.std

@@ -27,7 +27,7 @@ from bookpred.embedding import (
 from bookpred.metrics import mcnemar, weighted_f1
 from bookpred.net import ModelConfig
 from bookpred.pipeline import EncoderConfig, TrainConfig
-from bookpred.readability import readability_vector
+from bookpred.readability import apply_scaler, readability_vector
 from bookpred.textstats import TextCounts
 
 S = SuccessLabel.SUCCESSFUL
@@ -95,7 +95,7 @@ def run_readability_pipeline(root, trainval, test, out_dir: Path) -> dict:
     well inside the runtime budget.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoder = EncoderConfig(kind="external", dim=64, directory=root / "semb")
+    encoder = EncoderConfig(dim=64, directory=root / "semb")
     runs = {}
     started = time.time()
     for tag, use_readability in (("with", True), ("without", False)):
@@ -185,10 +185,8 @@ def test_criterion_01_readability_exactness():
         L = W + int(rng.integers(0, 3 * W))
         C = W + int(rng.integers(0, 9 * W))
         P = int(rng.integers(0, W + 1))
-        a = readability_vector(counts(W=W, C=C, S_=S_, L=L, P=P)).as_array()
-        b = readability_vector(
-            counts(W=2 * W, C=2 * C, S_=2 * S_, L=2 * L, P=2 * P)
-        ).as_array()
+        a = readability_vector(counts(W=W, C=C, S_=S_, L=L, P=P))
+        b = readability_vector(counts(W=2 * W, C=2 * C, S_=2 * S_, L=2 * L, P=2 * P))
         if np.any(np.abs(a - b) >= tol):
             invariance_ok = False
             break
@@ -334,7 +332,7 @@ def test_criterion_07_attribution_soundness(readability_corpus, readability_run)
     params = run["result"].params
     cfg = run["cfg"]
     x_all, raw = pipeline.featurize_corpus(test, cfg)
-    scaled = pipeline._scaled_inputs(raw, run["result"].scaler)
+    scaled = apply_scaler(run["result"].scaler, raw)
     fd_ok = True
     eps = 1e-4
     for x, r in list(zip(x_all, scaled))[:5]:

@@ -243,6 +243,22 @@ class TestTrainEvalFlow:
             "name", "fres", "fkg", "smog", "cli", "ari", "n_books",
         ]
 
+    def test_attribute_on_empty_manifest_exits_one(self, checkpoint, tmp_path, capsys):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("book_id,genre,avg_rating,n_ratings,label,text_path\n",
+                            encoding="utf-8")
+        out_csv = tmp_path / "attr.csv"
+        code, _, err = run(
+            capsys,
+            "attribute",
+            "--checkpoint", str(checkpoint / "model.bpmd"),
+            "--manifest", str(manifest),
+            "--out", str(out_csv),
+        )
+        assert code == 1
+        assert "attribution needs at least one book" in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("key", ["has_scaler", "extra"])
     def test_checkpoint_missing_meta_key_exits_one(
         self, corpus_dir, checkpoint, tmp_path, capsys, key
@@ -295,6 +311,7 @@ class TestTrainEvalFlow:
             ("section", 1000),
             ("n_chunks", "10"),
             ("encoder_kind", None),
+            ("encoder_kind", "bogus"),
             ("encoder_dim", "64"),
             ("encoder_seed", 1.5),
             ("extra", "first:1000"),

@@ -22,7 +22,6 @@ NON_DEFAULT = {
     "batch_size": ("3", 3),
     "val_fraction": ("0.3", 0.3),
     "section": ("last:10", SectionSpec.last(10)),
-    "encoder.kind": ("external", "external"),
     "encoder.dim": ("64", 64),
     "encoder.seed": ("2", 2),
     "encoder.directory": ("vecs", Path("vecs")),
@@ -69,7 +68,7 @@ def build(*settings, config_file=None):
 def test_keys_are_the_leaf_fields_of_train_config():
     expected = set(leaves(TrainConfig())) - {"model.input_dim"}
     assert set(cli.config_keys()) == expected == set(NON_DEFAULT)
-    assert len(expected) == 16
+    assert len(expected) == 15
 
 
 def test_no_options_build_the_defaults():
@@ -79,13 +78,22 @@ def test_no_options_build_the_defaults():
 @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
 def test_each_key_sets_exactly_its_field(key):
     text, value = NON_DEFAULT[key]
-    # an external encoder needs a directory, on both sides of the comparison
-    base = ["encoder.directory=vecs"] if key == "encoder.kind" else []
-    before = leaves(build(*base))
-    after = leaves(build(*base, f"{key}={text}"))
+    before = leaves(build())
+    after = leaves(build(f"{key}={text}"))
     assert after[key] == value and before[key] != value
     changed = {k for k in before if before[k] != after[k]}
     assert changed == ({key} | BOOK2VEC_SHAPE if key == "model.arch" else {key})
+
+
+def test_semb_dir_flag_sets_only_the_directory():
+    args = cli.build_parser().parse_args(
+        ["train", "--manifest", "m.csv", "--out", "m.bpmd", "--semb-dir", "vecs"]
+    )
+    cfg = cli.build_train_config(args)
+    before, after = leaves(TrainConfig()), leaves(cfg)
+    assert {k for k in before if before[k] != after[k]} == {"encoder.directory"}
+    assert after["encoder.directory"] == Path("vecs")
+    assert (TrainConfig().encoder.kind, cfg.encoder.kind) == ("hashed", "external")
 
 
 def test_readme_run_cfg_keys_are_accepted(tmp_path):

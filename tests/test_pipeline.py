@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_secti
 from bookpred.embedding import book_average, chunk_average, load_embeddings, write_embeddings
 from bookpred.metrics import weighted_f1
 from bookpred.net import ModelConfig
-from bookpred.readability import readability_vector
+from bookpred.readability import ReadabilityScaler, apply_scaler, readability_vector
 from bookpred.pipeline import (
     EncoderConfig,
     FeaturizationError,
@@ -198,7 +200,7 @@ class TestAttribution:
         cfg = fast_cfg(epochs=2)
         result = train(tiny_corpus, cfg)
         x_all, raw = pipeline.featurize_corpus(tiny_corpus, cfg)
-        scaled = pipeline._scaled_inputs(raw, result.scaler)
+        scaled = apply_scaler(result.scaler, raw)
         eps = 1e-5
         for x, r in list(zip(x_all, scaled))[:4]:
             grad = net.readability_output_gradient(result.params, x, r)
@@ -291,7 +293,7 @@ class TestSinglePassFeaturization:
         if encoder == "hashed":
             encoder_cfg = EncoderConfig(dim=64, seed=3)
         else:
-            encoder_cfg = EncoderConfig(kind="external", directory=tiny_semb_dir)
+            encoder_cfg = EncoderConfig(directory=tiny_semb_dir)
         cfg = fast_cfg(
             section=SectionSpec.parse(section), encoder=encoder_cfg, model=ModelConfig(arch=arch)
         )
@@ -309,7 +311,7 @@ class TestSinglePassFeaturization:
             else:
                 assert x[i].tobytes() == chunk_average(matrix, cfg.model.n_chunks).tobytes()
             expected = readability_vector(ref.counts_from_sentences(sentences))
-            assert raw[i].as_array().tobytes() == expected.as_array().tobytes()
+            assert raw[i].tobytes() == expected.tobytes()
 
 
 class TestOneTokenizationPerBook:
@@ -361,6 +363,70 @@ class TestOneTokenizationPerBook:
         assert peak < n_sentences * cfg.encoder.dim * 8 / 2
 
 
+def untrained_model(cfg):
+    """Random parameters for ``cfg``'s model at its hashed dim, and an
+    identity scaler: enough to run eval and attribution without training."""
+    params = net.init_params(replace(cfg.model, input_dim=cfg.encoder.dim), seed=0)
+    return params, ReadabilityScaler(mean=np.zeros(5), std=np.ones(5))
+
+
+class TestEvalInBatches:
+    """Eval and attribution featurize one ``batch_size`` block of books at a
+    time, so their memory is bounded by the batch, not the test set."""
+
+    @staticmethod
+    def repeated_book_corpus(root, n_books):
+        (root / "book.txt").write_text(
+            " ".join(f"Sentence number {i} reads plainly." for i in range(8)) + "\n",
+            encoding="utf-8",
+        )
+        manifest = root / f"manifest_{n_books}.csv"
+        manifest.write_text(
+            "book_id,genre,avg_rating,n_ratings,label,text_path\n"
+            + "".join(f"b{i},Drama,4.0,10,,book.txt\n" for i in range(n_books)),
+            encoding="utf-8",
+        )
+        return load_corpus(manifest)
+
+    @pytest.mark.parametrize("run", [predict_corpus, attribute_readability])
+    def test_peak_memory_does_not_grow_with_the_test_set(self, tmp_path, run):
+        cfg = TrainConfig(encoder=EncoderConfig(dim=256))
+        params, scaler = untrained_model(cfg)
+        peaks = {}
+        for n_books in (40, 400):
+            corpus = self.repeated_book_corpus(tmp_path, n_books)
+            tracemalloc.start()
+            try:
+                run(params, scaler, corpus, cfg)
+                _, peaks[n_books] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] < 1.5 * peaks[40]
+
+    @pytest.mark.parametrize("run", [predict_corpus, attribute_readability])
+    def test_featurize_corpus_gets_at_most_one_batch(self, tiny_corpus, monkeypatch, run):
+        cfg = fast_cfg(batch_size=5)
+        params, scaler = untrained_model(cfg)
+        sizes = []
+        featurize_corpus = pipeline.featurize_corpus
+
+        def counting(corpus, *args, **kwargs):
+            sizes.append(len(corpus))
+            return featurize_corpus(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "featurize_corpus", counting)
+        run(params, scaler, tiny_corpus, cfg)
+        assert sizes == [5, 5, 5, 5, 4]
+
+    def test_attribution_of_no_books_is_an_error(self, tiny_corpus, monkeypatch):
+        cfg = fast_cfg()
+        params, scaler = untrained_model(cfg)
+        monkeypatch.setattr(pipeline, "featurize_corpus", None)  # must not be reached
+        empty = replace(tiny_corpus, records=())
+        with pytest.raises(ValueError, match="attribution needs at least one book"):
+            attribute_readability(params, scaler, empty, cfg)
+
+
 class TestExternalEncoder:
     def test_external_semb_pipeline(self, tmp_path):
         manifest = synth.make_readability_corpus(
@@ -368,7 +434,7 @@ class TestExternalEncoder:
         )
         corpus = load_corpus(manifest)
         cfg = fast_cfg(
-            encoder=EncoderConfig(kind="external", dim=16, directory=tmp_path / "semb"),
+            encoder=EncoderConfig(dim=16, directory=tmp_path / "semb"),
             epochs=2,
         )
         result = train(corpus, cfg)
@@ -382,7 +448,7 @@ class TestExternalEncoder:
         corpus = load_corpus(manifest)
         (tmp_path / "semb" / "book0002.semb").unlink()
         cfg = fast_cfg(
-            encoder=EncoderConfig(kind="external", dim=16, directory=tmp_path / "semb"),
+            encoder=EncoderConfig(dim=16, directory=tmp_path / "semb"),
             epochs=1,
             val_fraction=0.34,
         )
@@ -452,6 +518,18 @@ class TestReportSerialization:
         report_a = evaluate(result.params, result.scaler, tiny_corpus, cfg)
         report_b = evaluate(params, scaler, tiny_corpus, rebuilt)
         assert report_a.n == report_b.n
+
+    def test_encoder_kind_decides_whether_semb_dir_is_used(self):
+        model = ModelConfig(input_dim=512)
+        meta = pipeline.feature_meta(TrainConfig())
+        rebuilt = pipeline.config_from_feature_meta(meta, model, semb_dir=Path("vecs"))
+        assert (rebuilt.encoder.kind, rebuilt.encoder.directory) == ("hashed", None)
+        meta = pipeline.feature_meta(TrainConfig(encoder=EncoderConfig(directory=Path("a"))))
+        assert meta["encoder_kind"] == "external"
+        rebuilt = pipeline.config_from_feature_meta(meta, model, semb_dir=Path("vecs"))
+        assert (rebuilt.encoder.kind, rebuilt.encoder.directory) == ("external", Path("vecs"))
+        with pytest.raises(ValueError, match="directory of .semb files"):
+            pipeline.config_from_feature_meta(meta, model)
 
     @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
     def test_trained_and_reloaded_models_predict_identically(self, tiny_corpus, tmp_path, arch):
