@@ -145,7 +145,10 @@ def cmd_readability(args: argparse.Namespace) -> int:
     writer.writerow(_READABILITY_HEADER)
     for path_text in args.paths:
         path = Path(path_text)
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: cannot decode text as UTF-8 ({exc})") from exc
         writer.writerow(_counts_row(path.stem, compute_counts(text)))
     return EXIT_OK
 
@@ -189,6 +192,8 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     cfg = _featurize_config(args)
     if cfg.encoder.kind != "hashed":
         print("featurize produces .semb files and only supports the hashed encoder",

@@ -295,6 +295,15 @@ class SectionSpec:
             return "full"
         return f"{self.kind}:{self.k}"
 
+    def as_slice(self) -> slice:
+        """The section as a slice: ``seq[spec.as_slice()]`` holds the
+        items ``select_section`` takes from a sequence ``seq``."""
+        if self.kind == "first":
+            return slice(self.k)
+        if self.kind == "last":
+            return slice(-self.k, None)
+        return slice(None)
+
 
 def select_section(items: Iterable, spec: SectionSpec) -> list:
     """The leading or trailing ``k`` items, or all of them, in order; a

@@ -3,10 +3,17 @@ file format for externally computed vectors, and chunk averaging.
 
 The hashed encoder reads a ``textstats.Tokens`` (the sentences
 tokenized once, each word an id in a first-sight vocabulary), hashes
-each distinct token once per call, and adds the signed one-hot entries
-of a run of sentences into its rows with a single scatter. Asked for
-chunk averages, it encodes a block of whole chunks at a time, so the
-full sentence matrix of a long book is never built.
+the whole vocabulary at once with one array FNV step per UTF-8 byte
+column, and adds the signed one-hot entries of a run of sentences into
+its rows with a single scatter. Asked for chunk averages, it encodes a
+block of whole chunks at a time, so the full sentence matrix of a long
+book is never built.
+
+Chunk means are taken with reshaped reductions, not one ``mean`` per
+chunk: balanced chunk sizes take at most two values, larger first, so
+each run of equal sizes is one ``(count, size, dim)`` view averaged
+over its middle axis. That adds the same rows in the same order as a
+per-chunk mean, so the bits do not change.
 
 SEMB layout (little-endian):
 
@@ -22,6 +29,7 @@ rename), so readers never observe a half-written matrix.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
@@ -88,6 +96,26 @@ def _hash64(token: str, seed: int) -> int:
     return h
 
 
+def _hash_vocab(vocab: list[str], seed: int) -> np.ndarray:
+    """``_hash64(token.lower(), seed)`` of every token, as a uint64 array.
+
+    The UTF-8 bytes of the tokens fill a zero-padded (V, max_len) matrix,
+    and one FNV step per byte column updates the hashes of the tokens
+    that are still that long; uint64 array products wrap silently."""
+    encoded = [token.lower().encode("utf-8") for token in vocab]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    width = int(lengths.max()) if len(encoded) else 0
+    live = np.arange(width) < lengths[:, None]
+    columns = np.zeros((len(encoded), width), dtype=np.uint64)
+    columns[live] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    start = (_FNV_OFFSET ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
+    h = np.full(len(encoded), start, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for j in range(width):
+        np.copyto(h, (h ^ columns[:, j]) * prime, where=live[:, j])
+    return h
+
+
 def _encode_rows(
     ids: np.ndarray, lengths: np.ndarray, buckets: np.ndarray, signs: np.ndarray, dim: int
 ) -> np.ndarray:
@@ -116,6 +144,23 @@ def _chunk_blocks(sizes: list[int]):
     yield first, len(sizes)
 
 
+def _chunk_means(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """(len(sizes), dim) float64 means of consecutive chunks of ``rows``
+    of the given sizes; a chunk of size 0 is a zero row. Each run of
+    equal sizes is averaged by one reduction over a reshaped view."""
+    dim = rows.shape[1]
+    out = np.zeros((len(sizes), dim))
+    chunk = row = 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        if size:
+            stop = row + count * size
+            out[chunk : chunk + count] = rows[row:stop].reshape(count, size, dim).mean(axis=1)
+            row = stop
+        chunk += count
+    return out
+
+
 def encode_hashed_bow(
     sentences: list[str] | Tokens,
     dim: int,
@@ -134,15 +179,15 @@ def encode_hashed_bow(
     Rows hold small integers until the division, so the order in which
     the single ``np.add.at`` scatter adds the signs cannot change them.
     The chunked path encodes whole chunks a block at a time and averages
-    each chunk over a contiguous slice of its block, which sums the same
-    rows in the same order as ``chunk_average`` does.
+    the block's chunks with the helper ``chunk_average`` uses, which sums
+    the same rows in the same order.
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
     tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
-    hashes = [_hash64(token.lower(), seed) for token in tokens.vocab]
-    buckets = np.array([(h >> 1) % dim for h in hashes], dtype=np.intp)
-    signs = np.array([-1.0 if h & 1 else 1.0 for h in hashes])
+    hashes = _hash_vocab(tokens.vocab, seed)
+    buckets = ((hashes >> 1) % dim).astype(np.intp)
+    signs = np.where(hashes & 1, -1.0, 1.0)
     if n_chunks is None:
         return _encode_rows(tokens.ids, tokens.lengths, buckets, signs, dim)
 
@@ -159,9 +204,7 @@ def encode_hashed_bow(
             signs,
             dim,
         )
-        for i in range(first, stop):
-            if sizes[i] > 0:
-                out[i] = block[row_starts[i] - r0 : row_starts[i + 1] - r0].mean(axis=0)
+        out[first:stop] = _chunk_means(block, sizes[first:stop])
         del block  # free it before the next block is encoded
     return out
 
@@ -231,15 +274,8 @@ def chunk_average(matrix: np.ndarray, n_chunks: int) -> np.ndarray:
     than chunks the trailing chunks are zero rows (padding).
     """
     matrix = np.asarray(matrix, dtype=float)
-    n, dim = matrix.shape
-    sizes = chunk_sizes(n, n_chunks)
-    out = np.zeros((n_chunks, dim))
-    start = 0
-    for i, size in enumerate(sizes):
-        if size > 0:
-            out[i] = matrix[start : start + size].mean(axis=0)
-            start += size
-    return out
+    n, _ = matrix.shape
+    return _chunk_means(matrix, chunk_sizes(n, n_chunks))
 
 
 def book_average(matrix: np.ndarray) -> np.ndarray:

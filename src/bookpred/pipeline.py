@@ -123,6 +123,10 @@ def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
         text = record.text_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FeaturizationError(f"book {record.book_id}: cannot read text ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FeaturizationError(
+            f"book {record.book_id}: cannot decode text as UTF-8 ({exc})"
+        ) from exc
     tokens = tokenize_sentences(select_section(sentence_spans(text), section))
     if not tokens:
         raise FeaturizationError(f"book {record.book_id}: no sentences")
@@ -136,10 +140,9 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
         matrix = load_embeddings(semb_path)
     except Exception as exc:
         raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
-    rows = select_section(range(matrix.shape[0]), cfg.section)
-    if not rows:
+    if not len(matrix):
         raise FeaturizationError(f"book {record.book_id}: empty embedding matrix")
-    return matrix[rows]
+    return matrix[cfg.section.as_slice()]
 
 
 def featurize_book(

@@ -7,15 +7,20 @@ readability scores are reproducible byte for byte. The rules are fixed:
   or at blank-line paragraph breaks, with a short abbreviation list
   suppressing false splits; one compiled regular expression finds the
   candidate boundaries, so the text is scanned in C, not character by
-  character in Python. ``sentence_spans`` yields each sentence's raw
-  span lazily, so a caller that needs the first K sentences segments
-  only those; ``segment_sentences`` lists them whitespace-normalized;
+  character in Python. Its leading lookahead for a terminator or a
+  newline lets the scan skip straight to the next candidate, and the
+  abbreviation check runs only for a lone ``.`` after r, s, t, c, g or
+  e in either case, the letters that come before an abbreviation's
+  final ``.``. ``sentence_spans`` yields each sentence's raw span
+  lazily, so a caller that needs the first K sentences segments only
+  those; ``segment_sentences`` lists them whitespace-normalized;
 * words are maximal runs of letters and digits, allowing internal
   apostrophes and hyphens, so whitespace is never part of a word and a
   raw span tokenizes exactly as its normalized string does;
   ``tokenize_sentences`` tokenizes sentences once into ``Tokens`` (a
   first-sight vocabulary plus one id per word), which the hashed
-  encoder and the counts both read;
+  encoder and the counts both read; a word's character count is its
+  length less its apostrophes and hyphens;
 * syllables are counted as maximal vowel groups (a, e, i, o, u, y) with
   the terminal silent-e rule, floored at 1.
 """
@@ -45,14 +50,20 @@ __all__ = [
 _ABBREVIATIONS = frozenset(
     {"mr.", "mrs.", "dr.", "st.", "vs.", "etc.", "e.g.", "i.e."}
 )
+# Exactly the characters whose lowercase ends in a letter that comes
+# right before an abbreviation's '.': only a '.' after one of them can
+# end an abbreviation.
+_ABBREVIATION_ENDS = frozenset("rstcgeRSTCGE")
 
 # Candidate sentence boundaries: a run of terminators followed by
 # whitespace or the end of the text, or a blank line (newline, optional
 # spaces, tabs or carriage returns, newline). ``\s`` matches exactly the
-# characters ``str.isspace()`` accepts.
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|\Z)|\n[ \t\r]*\n")
+# characters ``str.isspace()`` accepts. The leading lookahead changes no
+# match; it lets the regex engine skip ahead to the next candidate.
+_BOUNDARY_RE = re.compile(r"(?=[.!?\n])(?:[.!?]+(?=\s|\Z)|\n[ \t\r]*\n)")
 
 # Letters/digits (no underscore), with internal apostrophes or hyphens.
+# ``[^\W_]`` matches exactly the characters ``str.isalnum()`` accepts.
 _WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
 
 _VOWELS = frozenset("aeiouy")
@@ -90,14 +101,18 @@ def sentence_spans(text: str) -> Iterator[str]:
     """
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
-        if text[match.start()] == "\n":
+        first, end = match.span()
+        if text[first] == "\n":
             # A blank line is a paragraph break; its newlines start the
             # next span, whose whitespace no word includes.
-            end = match.start()
-        else:
-            end = match.end()
-            if _ends_with_abbreviation(text[start:end]):
-                continue
+            end = first
+        elif (
+            text[first:end] == "."
+            and first
+            and text[first - 1] in _ABBREVIATION_ENDS
+            and _ends_with_abbreviation(text[start:end])
+        ):
+            continue
         span = text[start:end]
         start = end
         if span.strip():
@@ -195,17 +210,19 @@ def counts_from_sentences(tokens: Tokens) -> TextCounts:
     """Aggregate counts over tokenized sentences.
 
     Characters are letters and digits inside words only; punctuation,
-    whitespace, and in-word apostrophes/hyphens are excluded.
-    Polysyllables are words of three or more syllables. Characters and
-    syllables are computed once per distinct token and weighted by its
-    frequency, which one ``bincount`` over the ids gives.
+    whitespace, and in-word apostrophes/hyphens are excluded. A word is
+    letters and digits joined by those separators, so its character
+    count is its length less its separators. Polysyllables are words of
+    three or more syllables. Characters and syllables are computed once
+    per distinct token and weighted by its frequency, which one
+    ``bincount`` over the ids gives.
     """
     frequency = np.bincount(tokens.ids, minlength=len(tokens.vocab)).tolist()
     characters = 0
     syllables = 0
     polysyllables = 0
     for token, n in zip(tokens.vocab, frequency):
-        characters += n * sum(1 for ch in token if ch.isalnum())
+        characters += n * (len(token) - token.count("'") - token.count("’") - token.count("-"))
         syl = count_syllables(token)
         syllables += n * syl
         if syl >= 3:

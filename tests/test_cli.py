@@ -64,6 +64,13 @@ class TestReadabilityCommand:
         assert code == 1
         assert "nope.txt" in err
 
+    def test_undecodable_file_exits_one_naming_it(self, tmp_path, capsys):
+        f = tmp_path / "utf16.txt"
+        f.write_bytes("Words here.".encode("utf-16"))
+        code, _, err = run(capsys, "readability", str(f))
+        assert code == 1
+        assert "utf16.txt" in err and "UTF-8" in err
+
 
 class TestFeaturizeCommand:
     def test_produces_semb_and_csvs(self, corpus_dir, tmp_path, capsys):
@@ -407,6 +414,37 @@ class TestTrainEvalFlow:
         assert "readability" in err
 
 
+@pytest.fixture(scope="module")
+def undecodable_corpus(corpus_dir, tmp_path_factory):
+    """The CLI corpus with book0003's text saved as UTF-16 (it starts \\xff\\xfe)."""
+    root = tmp_path_factory.mktemp("utf16")
+    (root / "books").mkdir()
+    for src in (corpus_dir / "books").iterdir():
+        (root / "books" / src.name).write_bytes(src.read_bytes())
+    book = root / "books" / "book0003.txt"
+    book.write_bytes(book.read_text(encoding="utf-8").encode("utf-16"))
+    (root / "manifest.csv").write_bytes((corpus_dir / "manifest.csv").read_bytes())
+    return root
+
+
+class TestUndecodableBook:
+    @pytest.mark.parametrize("command", ["train", "eval", "attribute"])
+    def test_exits_one_naming_the_book(
+        self, undecodable_corpus, checkpoint, tmp_path, capsys, command
+    ):
+        manifest = str(undecodable_corpus / "manifest.csv")
+        if command == "train":
+            argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.bpmd"),
+                    "--set", "encoder.dim=64", "--set", "epochs=1"]
+        else:
+            argv = [command, "--checkpoint", str(checkpoint / "model.bpmd"),
+                    "--manifest", manifest]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "book book0003: cannot decode text as UTF-8" in err
+        assert not (tmp_path / "m.bpmd").exists()
+
+
 class TestExportVectorsCommand:
     def test_export(self, corpus_dir, tmp_path, capsys):
         out_csv = tmp_path / "vectors.csv"
@@ -486,6 +524,19 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "encoder.dim >= 8" in err and "missing.csv" not in err
+
+    def test_featurize_zero_jobs_exits_one_before_reading_books(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            "featurize",
+            "--manifest", str(tmp_path / "missing.csv"),
+            "--out", str(out_dir),
+            "--jobs", "0",
+        )
+        assert code == 1
+        assert "--jobs must be >= 1" in err and "missing.csv" not in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "setting",

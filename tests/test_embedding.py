@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bookpred.embedding import (
+    _chunk_means,
+    _hash64,
+    _hash_vocab,
     SembBadMagicError,
     SembNonFiniteError,
     SembTruncatedError,
@@ -182,6 +187,59 @@ class TestChunkAverage:
         m = rng.standard_normal((60, 6))
         chunks = chunk_average(m, 12)  # 5 sentences per chunk, all equal
         assert np.allclose(chunks.mean(axis=0), m.mean(axis=0))
+
+
+def _per_chunk_means(rows, sizes):
+    """The per-chunk loop ``_chunk_means`` replaced: one mean per chunk."""
+    out = np.zeros((len(sizes), rows.shape[1]))
+    start = 0
+    for i, size in enumerate(sizes):
+        if size > 0:
+            out[i] = rows[start : start + size].mean(axis=0)
+            start += size
+    return out
+
+
+class TestChunkMeans:
+    """The reshaped reductions add the same rows in the same order as one
+    mean per chunk, so the results must agree bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 3000) | st.integers(0, 130),
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.sampled_from((np.float32, np.float64)),
+        st.integers(-12, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(0, 1, 3, np.float64, 0, 0)
+    @example(7, 60, 2, np.float32, 0, 1)
+    @example(2999, 60, 1, np.float64, 9, 2)
+    def test_matches_per_chunk_means(self, n, k, dim, dtype, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rows = (rng.standard_normal((n, dim)) * 10.0**exponent).astype(dtype)
+        sizes = chunk_sizes(n, k)
+        expected = _per_chunk_means(rows, sizes)
+        actual = _chunk_means(rows, sizes)
+        assert actual.dtype == np.float64 and actual.shape == (k, dim)
+        assert actual.tobytes() == expected.tobytes()
+        as_float = rows.astype(float)
+        assert chunk_average(rows, k).tobytes() == _per_chunk_means(as_float, sizes).tobytes()
+
+
+class TestHashVocab:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.text(max_size=20), max_size=30),
+        st.integers(-(2**80), 2**80) | st.sampled_from((0, 1, -1, 2**64 - 1, 2**64)),
+    )
+    @example([], 0)
+    @example(["", "a", "A", "Straße", "İstanbul", "日本語", "rock’n’roll", "\U0001f600"], -7)
+    def test_matches_per_token_hash(self, vocab, seed):
+        hashes = _hash_vocab(vocab, seed)
+        assert hashes.dtype == np.uint64 and hashes.shape == (len(vocab),)
+        assert hashes.tolist() == [_hash64(token.lower(), seed) for token in vocab]
 
 
 class TestBookAverage:

@@ -1,7 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from bookpred.textstats import (
+    _ABBREVIATION_ENDS,
+    _ABBREVIATIONS,
+    _WORD_RE,
     compute_counts,
     count_syllables,
     counts_from_sentences,
@@ -187,3 +192,29 @@ class TestComputeCounts:
         text = "Dr. Smith arrived late. He sat down! Nobody asked why."
         tokens = tokenize_sentences(segment_sentences(text))
         assert counts_from_sentences(tokens) == compute_counts(text)
+
+
+class TestCharacterClasses:
+    """Exhaustive checks over every code point of the facts the fast paths
+    rest on."""
+
+    ALL = [chr(c) for c in range(sys.maxunicode + 1)]
+
+    def test_word_characters_are_exactly_the_alphanumerics(self):
+        # A word's characters are its letters and digits plus its in-word
+        # separators, so counts may take len() minus the separators.
+        mismatches = [c for c in self.ALL if bool(_WORD_RE.fullmatch(c)) != c.isalnum()]
+        assert mismatches == []
+
+    def test_abbreviation_prefilter_is_exact(self):
+        # lower() maps a token character by character, so a token that
+        # lowercases to an abbreviation ends, before its '.', in a character
+        # whose lowercase ends in that abbreviation's letter before the '.'.
+        letters = {abbreviation[-2] for abbreviation in _ABBREVIATIONS}
+        expected = {c for c in self.ALL if c.lower()[-1:] in letters}
+        assert _ABBREVIATION_ENDS == expected
+
+    def test_separators_are_not_characters(self):
+        c = compute_counts("Rock’n’roll isn't so-so.")
+        assert c.words == 3
+        assert c.characters == len("Rocknroll") + len("isnt") + len("soso")
