@@ -169,10 +169,11 @@ def _counts_row(book_id: str, counts) -> list[str]:
     return row
 
 
-def _featurize_one(task) -> tuple[str, dict | None, str | None]:
+def _featurize_one(task) -> tuple[list, list] | str:
     """Worker: featurize one book and write its .semb file.
 
-    Returns (book_id, payload, error_message); books fail independently.
+    Returns the book's readability.csv and featurized.csv rows, or its
+    error message; books fail independently.
     """
     record, encoder, section, out_dir = task
     try:
@@ -180,15 +181,12 @@ def _featurize_one(task) -> tuple[str, dict | None, str | None]:
         matrix = encode_hashed_bow(tokens, dim=encoder.dim, seed=encoder.seed)
         semb_path = Path(out_dir) / f"{record.book_id}.semb"
         write_embeddings(matrix, semb_path)
-        payload = {
-            "readability_row": _counts_row(record.book_id, counts_from_sentences(tokens)),
-            "semb_path": str(semb_path),
-            "n_sentences": len(tokens),
-            "dim": encoder.dim,
-        }
-        return record.book_id, payload, None
+        readability_row = _counts_row(record.book_id, counts_from_sentences(tokens))
     except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
-        return record.book_id, None, str(exc)
+        return str(exc)
+    featurized_row = [record.book_id, record.genre.value, record.label.value,
+                      str(semb_path), len(tokens), encoder.dim]
+    return readability_row, featurized_row
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -210,34 +208,23 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_featurize_one, tasks))
 
-    failures = [(bid, err) for bid, _, err in results if err is not None]
-    by_id = {bid: payload for bid, payload, err in results if err is None}
+    failures = []
+    with (
+        open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as r_fh,
+        open(out_dir / "featurized.csv", "w", encoding="utf-8", newline="") as f_fh,
+    ):
+        readability_csv, featurized_csv = csv.writer(r_fh), csv.writer(f_fh)
+        readability_csv.writerow(_READABILITY_HEADER)
+        featurized_csv.writerow(["book_id", "genre", "label", "semb_path", "n_sentences", "dim"])
+        for record, result in zip(corpus, results):
+            if isinstance(result, str):
+                failures.append((record.book_id, result))
+                continue
+            readability_row, featurized_row = result
+            readability_csv.writerow(readability_row)
+            featurized_csv.writerow(featurized_row)
 
-    with open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_READABILITY_HEADER)
-        for record in corpus:
-            if record.book_id in by_id:
-                writer.writerow(by_id[record.book_id]["readability_row"])
-
-    with open(out_dir / "featurized.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["book_id", "genre", "label", "semb_path", "n_sentences", "dim"])
-        for record in corpus:
-            if record.book_id in by_id:
-                payload = by_id[record.book_id]
-                writer.writerow(
-                    [
-                        record.book_id,
-                        record.genre.value,
-                        record.label.value,
-                        payload["semb_path"],
-                        payload["n_sentences"],
-                        payload["dim"],
-                    ]
-                )
-
-    print(f"featurized {len(by_id)} of {len(corpus)} books into {out_dir}")
+    print(f"featurized {len(corpus) - len(failures)} of {len(corpus)} books into {out_dir}")
     for book_id, err in failures:
         print(f"failed {book_id}: {err}", file=sys.stderr)
     return EXIT_INPUT if failures else EXIT_OK
@@ -376,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="write per-book .semb files and readability CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: one per CPU)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_featurize)
 
@@ -424,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is None:
-        args.jobs = os.cpu_count() or 1
     try:
         return args.func(args)
     except (

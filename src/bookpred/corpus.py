@@ -115,7 +115,6 @@ class CorpusSet:
     """Immutable ordered collection of book records (manifest order)."""
 
     records: tuple[BookRecord, ...]
-    root: Path
 
     def __len__(self) -> int:
         return len(self.records)
@@ -218,7 +217,7 @@ def load_corpus(manifest_path: str | Path) -> CorpusSet:
                     text_path=text_path,
                 )
             )
-    return CorpusSet(records=tuple(records), root=root)
+    return CorpusSet(records=tuple(records))
 
 
 def split_train_val(
@@ -243,8 +242,8 @@ def split_train_val(
     perm = rng.permutation(n)
     val_idx = sorted(int(i) for i in perm[:n_val])
     train_idx = sorted(int(i) for i in perm[n_val:])
-    train = CorpusSet(tuple(corpus.records[i] for i in train_idx), corpus.root)
-    val = CorpusSet(tuple(corpus.records[i] for i in val_idx), corpus.root)
+    train = CorpusSet(tuple(corpus.records[i] for i in train_idx))
+    val = CorpusSet(tuple(corpus.records[i] for i in val_idx))
     return train, val
 
 

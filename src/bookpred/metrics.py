@@ -1,8 +1,7 @@
 """Evaluation metrics: weighted F1 and the McNemar paired test.
 
-The chi-square(1) p-value is computed internally from the regularized
-incomplete gamma function (series for small arguments, Lentz continued
-fraction otherwise), so no statistics library is needed.
+The chi-square(1) p-value is erfc(sqrt(x / 2)) from the standard library's
+``math``, so no statistics library is needed.
 """
 
 from __future__ import annotations
@@ -115,53 +114,7 @@ def mcnemar(
 
 def chi_square_sf_1df(x: float) -> float:
     """Survival function of the chi-square distribution with 1 degree of
-    freedom: Q(1/2, x/2), the regularized upper incomplete gamma."""
+    freedom, which is erfc(sqrt(x / 2))."""
     if x < 0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    a = 0.5
-    half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_contfrac(a, half)
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized incomplete gamma by its power series.
-    gln = math.lgamma(a)
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(500):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - gln)
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Upper regularized incomplete gamma by modified Lentz continued fraction.
-    gln = math.lgamma(a)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x + a * math.log(x) - gln) * h
+    return math.erfc(math.sqrt(x / 2.0))

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import shutil
 import struct
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import text_reference as ref
 from bookpred import synth
-from bookpred.cli import _READABILITY_HEADER, _counts_row, main
+from bookpred.cli import _READABILITY_HEADER, _counts_row, build_parser, main
 from bookpred.corpus import SectionSpec, select_section
 from bookpred.embedding import write_embeddings
 
@@ -108,20 +110,25 @@ class TestFeaturizeCommand:
             assert semb.read_bytes() == (out_b / semb.name).read_bytes()
         assert (out_a / "readability.csv").read_text() == (out_b / "readability.csv").read_text()
 
-    def test_missing_text_is_isolated(self, corpus_dir, tmp_path, capsys):
-        manifest_text = (corpus_dir / "manifest.csv").read_text(encoding="utf-8")
+    @staticmethod
+    def _corpus_missing_a_text(corpus_dir, tmp_path):
+        """A copy of the corpus whose book0003 text is gone; its manifest."""
         broken = tmp_path / "broken"
-        broken.mkdir()
-        (broken / "books").mkdir()
+        (broken / "books").mkdir(parents=True)
         for src in (corpus_dir / "books").iterdir():
             (broken / "books" / src.name).write_bytes(src.read_bytes())
         (broken / "books" / "book0003.txt").unlink()
-        (broken / "manifest.csv").write_text(manifest_text, encoding="utf-8")
+        manifest = broken / "manifest.csv"
+        manifest.write_bytes((corpus_dir / "manifest.csv").read_bytes())
+        return manifest
+
+    def test_missing_text_is_isolated(self, corpus_dir, tmp_path, capsys):
+        manifest = self._corpus_missing_a_text(corpus_dir, tmp_path)
         out_dir = tmp_path / "feat"
         code, out, err = run(
             capsys,
             "featurize",
-            "--manifest", str(broken / "manifest.csv"),
+            "--manifest", str(manifest),
             "--out", str(out_dir),
             "--jobs", "1",
             "--set", "encoder.dim=64",
@@ -129,6 +136,35 @@ class TestFeaturizeCommand:
         assert code == 1
         assert "book0003" in err
         assert len(list(out_dir.glob("*.semb"))) == 19
+
+    def test_process_pool_writes_what_one_process_writes(self, corpus_dir, tmp_path, capsys):
+        """Without --jobs, featurize runs one worker process per CPU; two
+        workers write the same bytes, and report the same failure, as the
+        in-process path."""
+        assert build_parser().parse_args(
+            ["featurize", "--manifest", "m.csv", "--out", "o"]
+        ).jobs == (os.cpu_count() or 1)
+        manifest = self._corpus_missing_a_text(corpus_dir, tmp_path)
+        out_dir = tmp_path / "feat"
+        outputs = []
+        for jobs in ("1", "2"):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            code, out, err = run(
+                capsys,
+                "featurize",
+                "--manifest", str(manifest),
+                "--out", str(out_dir),
+                "--jobs", jobs,
+                "--set", "encoder.dim=64",
+            )
+            assert code == 1
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((files, out, err))
+        files, out, err = outputs[0]
+        assert len([name for name in files if name.endswith(".semb")]) == 19
+        assert {"readability.csv", "featurized.csv"} <= set(files)
+        assert "book0003" in err
+        assert outputs[1] == outputs[0]
 
     def test_outputs_match_reference_featurization(self, corpus_dir, tmp_path, capsys):
         """.semb bytes and readability.csv equal what the character-loop

@@ -10,8 +10,9 @@ separators, quoted abbreviations, a blank line with a carriage return, a
 text without words). It then runs ``bookpred.cli.main`` in-process, from the
 ``src/`` of the checkout it lives in, for train (cnn at hashed dim 512,
 book2vec, a ``last:17`` section, and external ``.semb`` vectors at dim 64),
-eval, attribute for both targets, featurize, export-vectors with the hashed
-and the ``.semb`` encoder, and readability. Each output file, and each
+eval, attribute for both targets, mcnemar of the dim-512 cnn against book2vec
+and against ``last:17``, featurize, export-vectors with the hashed and the
+``.semb`` encoder, and readability. Each output file, and each
 command's standard output, gets one ``sha256  name`` line; the absolute
 OUT_DIR path is replaced by ``OUT_DIR`` first, so the digests do not depend
 on where the tool ran. To compare two checkouts, run each one's copy of the
@@ -123,6 +124,11 @@ def runs(inputs: dict[str, Path], runs_dir: Path) -> list[tuple[str, list[str]]]
             name = f"attribute_{model}_{target}"
             commands.append((name, ["attribute", "--checkpoint", checkpoint, *data,
                                     "--target", target, "--out", str(runs_dir / f"{name}.csv")]))
+    for other in ("book2vec", "last17"):
+        name = f"mcnemar_cnn512_{other}"
+        commands.append((name, ["mcnemar", str(runs_dir / "preds_cnn512.csv"),
+                                str(runs_dir / f"preds_{other}.csv"),
+                                "--out", str(runs_dir / f"{name}.csv")]))
     commands += [
         ("featurize", ["featurize", "--manifest", str(inputs["all"]), "--jobs", "1",
                        "--out", str(runs_dir / "featurized"), "--set", "encoder.dim=64",
