@@ -281,12 +281,15 @@ def _read_predictions(path: str) -> tuple[list[str], list[SuccessLabel], list[Su
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"book_id", "gold", "pred"}
-        if not needed.issubset(set(reader.fieldnames or [])):
-            raise ValueError(f"{path}: prediction CSV needs columns {sorted(needed)}")
-        for row in reader:
-            ids.append(row["book_id"])
-            golds.append(SuccessLabel.parse(row["gold"]))
-            preds.append(SuccessLabel.parse(row["pred"]))
+        try:
+            if not needed.issubset(set(reader.fieldnames or [])):
+                raise ValueError(f"{path}: prediction CSV needs columns {sorted(needed)}")
+            for row in reader:
+                ids.append(row["book_id"])
+                golds.append(SuccessLabel.parse(row["gold"]))
+                preds.append(SuccessLabel.parse(row["pred"]))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: after line {reader.line_num}: {exc}") from None
     return ids, golds, preds
 
 

@@ -3,8 +3,10 @@
 A corpus is a CSV manifest with the header
 ``book_id,genre,avg_rating,n_ratings,label,text_path`` plus one UTF-8
 plain-text file per book. ``text_path`` is resolved relative to the
-manifest's directory. Either ``avg_rating`` or ``label`` must be
-present for every row; when both are present they must agree.
+manifest's directory; an absolute one is kept as it is. Either
+``avg_rating`` or ``label`` must be present for every row; when both are
+present they must agree. A loaded corpus is a tuple of
+:class:`BookRecord` in manifest order.
 """
 
 from __future__ import annotations
@@ -71,8 +73,13 @@ class SuccessLabel(enum.Enum):
         raise MalformedRowError(f"unknown label {value!r}")
 
 
+# Class index order of every model output and confusion matrix:
+# 0 = Unsuccessful, 1 = Successful.
+LABEL_ORDER = (SuccessLabel.UNSUCCESSFUL, SuccessLabel.SUCCESSFUL)
+
+
 class ManifestError(ValueError):
-    """Base class for manifest problems; messages name the offending row."""
+    """Base class for manifest problems; messages name the offending row or file."""
 
 
 class MalformedRowError(ManifestError):
@@ -110,114 +117,90 @@ class BookRecord:
     text_path: Path
 
 
-@dataclass(frozen=True)
-class CorpusSet:
-    """Immutable ordered collection of book records (manifest order)."""
+CorpusSet = tuple[BookRecord, ...]  # records in manifest order
 
-    records: tuple[BookRecord, ...]
 
-    def __len__(self) -> int:
-        return len(self.records)
+def _number(text: str, kind: type, field: str):
+    """``kind(text)`` for a numeric manifest field, or None when it is empty."""
+    if not text:
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        raise MalformedRowError(f"bad {field} {text!r}") from None
 
-    def __iter__(self):
-        return iter(self.records)
+
+def _parse_row(row: dict, root: Path, seen: set[str]) -> BookRecord:
+    """One manifest row as a record, its id added to ``seen``. Errors name
+    the fault but not the row; the checks run in column order."""
+    if None in row or None in row.values():
+        raise MalformedRowError("wrong number of fields")
+    field = {name: value.strip() for name, value in row.items()}
+    book_id = field["book_id"]
+    if not book_id:
+        raise MalformedRowError("empty book_id")
+    if book_id in seen:
+        raise DuplicateBookIdError(f"duplicate book_id {book_id!r}")
+    seen.add(book_id)
+    genre = Genre.parse(field["genre"])
+    avg_rating = _number(field["avg_rating"], float, "avg_rating")
+    if avg_rating is not None and not (1.0 <= avg_rating <= 5.0):
+        raise MalformedRowError(f"avg_rating {avg_rating} outside [1, 5]")
+    n_ratings = _number(field["n_ratings"], int, "n_ratings") or 0
+    if n_ratings < 0:
+        raise MalformedRowError("negative n_ratings")
+    if field["label"]:
+        label = SuccessLabel.parse(field["label"])
+        if avg_rating is not None and label != derive_label(avg_rating):
+            raise LabelConflictError(
+                f"label {label.value} conflicts with avg_rating {avg_rating}"
+            )
+    elif avg_rating is not None:
+        label = derive_label(avg_rating)
+    else:
+        raise MalformedRowError("avg_rating and label are both empty")
+    if not field["text_path"]:
+        raise MalformedRowError("empty text_path")
+    return BookRecord(
+        book_id=book_id,
+        genre=genre,
+        avg_rating=avg_rating,
+        n_ratings=n_ratings,
+        label=label,
+        text_path=root / field["text_path"],
+    )
 
 
 def load_corpus(manifest_path: str | Path) -> CorpusSet:
-    """Load a manifest CSV into a :class:`CorpusSet`.
+    """Load a manifest CSV into a tuple of :class:`BookRecord`.
 
     Raises :class:`ManifestError` subclasses for malformed rows, unknown
     genres, duplicate book ids, and label/rating conflicts, each naming
     the 1-based file line; missing labels are derived from the rating.
+    A CSV-level fault or a non-UTF-8 byte is a :class:`MalformedRowError`
+    naming the manifest.
     """
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
+    records: list[BookRecord] = []
+    seen: set[str] = set()
     with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_COLUMNS:
-            raise MalformedRowError(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
-                f"got {reader.fieldnames}"
-            )
-        records: list[BookRecord] = []
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if any(v is None for v in row.values()) or None in row:
-                raise MalformedRowError(f"row {line_no}: wrong number of fields")
-            book_id = row["book_id"].strip()
-            if not book_id:
-                raise MalformedRowError(f"row {line_no}: empty book_id")
-            if book_id in seen:
-                raise DuplicateBookIdError(f"row {line_no}: duplicate book_id {book_id!r}")
-            seen.add(book_id)
-
-            try:
-                genre = Genre.parse(row["genre"].strip())
-            except UnknownGenreError as exc:
-                raise UnknownGenreError(f"row {line_no}: {exc}") from None
-
-            rating_text = row["avg_rating"].strip()
-            avg_rating: float | None = None
-            if rating_text:
-                try:
-                    avg_rating = float(rating_text)
-                except ValueError:
-                    raise MalformedRowError(
-                        f"row {line_no}: bad avg_rating {rating_text!r}"
-                    ) from None
-                if not (1.0 <= avg_rating <= 5.0):
-                    raise MalformedRowError(
-                        f"row {line_no}: avg_rating {avg_rating} outside [1, 5]"
-                    )
-
-            ratings_text = row["n_ratings"].strip()
-            n_ratings = 0
-            if ratings_text:
-                try:
-                    n_ratings = int(ratings_text)
-                except ValueError:
-                    raise MalformedRowError(
-                        f"row {line_no}: bad n_ratings {ratings_text!r}"
-                    ) from None
-                if n_ratings < 0:
-                    raise MalformedRowError(f"row {line_no}: negative n_ratings")
-
-            label_text = row["label"].strip()
-            if label_text:
-                try:
-                    label = SuccessLabel.parse(label_text)
-                except MalformedRowError as exc:
-                    raise MalformedRowError(f"row {line_no}: {exc}") from None
-                if avg_rating is not None and label != derive_label(avg_rating):
-                    raise LabelConflictError(
-                        f"row {line_no}: label {label.value} conflicts with "
-                        f"avg_rating {avg_rating}"
-                    )
-            elif avg_rating is not None:
-                label = derive_label(avg_rating)
-            else:
+        try:
+            if reader.fieldnames != MANIFEST_COLUMNS:
                 raise MalformedRowError(
-                    f"row {line_no}: avg_rating and label are both empty"
+                    f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
+                    f"got {reader.fieldnames}"
                 )
-
-            text_text = row["text_path"].strip()
-            if not text_text:
-                raise MalformedRowError(f"row {line_no}: empty text_path")
-            text_path = Path(text_text)
-            if not text_path.is_absolute():
-                text_path = root / text_path
-
-            records.append(
-                BookRecord(
-                    book_id=book_id,
-                    genre=genre,
-                    avg_rating=avg_rating,
-                    n_ratings=n_ratings,
-                    label=label,
-                    text_path=text_path,
-                )
-            )
-    return CorpusSet(records=tuple(records))
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    records.append(_parse_row(row, manifest_path.parent, seen))
+                except ManifestError as exc:
+                    raise type(exc)(f"row {line_no}: {exc}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedRowError(
+                f"{manifest_path}: after line {reader.line_num}: {exc}"
+            ) from None
+    return tuple(records)
 
 
 def split_train_val(
@@ -240,10 +223,8 @@ def split_train_val(
         )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    val_idx = sorted(int(i) for i in perm[:n_val])
-    train_idx = sorted(int(i) for i in perm[n_val:])
-    train = CorpusSet(tuple(corpus.records[i] for i in train_idx))
-    val = CorpusSet(tuple(corpus.records[i] for i in val_idx))
+    train = tuple(corpus[i] for i in np.sort(perm[n_val:]))
+    val = tuple(corpus[i] for i in np.sort(perm[:n_val]))
     return train, val
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SuccessLabel
+from .corpus import LABEL_ORDER, SuccessLabel
 
 __all__ = [
     "McNemarResult",
@@ -23,9 +23,6 @@ __all__ = [
     "chi_square_sf_1df",
 ]
 
-# Class index convention everywhere: 0 = Unsuccessful, 1 = Successful.
-_CLASS_ORDER = (SuccessLabel.UNSUCCESSFUL, SuccessLabel.SUCCESSFUL)
-
 
 def confusion_counts(
     preds: Sequence[SuccessLabel], golds: Sequence[SuccessLabel]
@@ -35,9 +32,8 @@ def confusion_counts(
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
     out = np.zeros((2, 2), dtype=int)
-    idx = {label: i for i, label in enumerate(_CLASS_ORDER)}
     for p, g in zip(preds, golds):
-        out[idx[g], idx[p]] += 1
+        out[LABEL_ORDER.index(g), LABEL_ORDER.index(p)] += 1
     return out
 
 

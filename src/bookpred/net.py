@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SuccessLabel
+from .corpus import LABEL_ORDER, SuccessLabel
 from .readability import ReadabilityScaler
 
 __all__ = [
@@ -60,16 +60,13 @@ __all__ = [
 N_READABILITY = 5
 N_CLASSES = 2
 
-# Class index convention: 0 = Unsuccessful, 1 = Successful.
-_LABEL_INDEX = {SuccessLabel.UNSUCCESSFUL: 0, SuccessLabel.SUCCESSFUL: 1}
-
 
 def label_index(label: SuccessLabel) -> int:
-    return _LABEL_INDEX[label]
+    return LABEL_ORDER.index(label)
 
 
 def _label_indices(labels) -> np.ndarray:
-    return np.array([_LABEL_INDEX[label] for label in labels], dtype=int)
+    return np.array([label_index(label) for label in labels], dtype=int)
 
 
 # The fields a book2vec config fixes: one averaged vector per book goes

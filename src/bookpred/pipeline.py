@@ -345,9 +345,7 @@ def _eval_batches(
     if mc.use_readability and scaler is None:
         raise ValueError("model uses readability but no scaler was provided")
     for block in _blocks(len(corpus), cfg.batch_size):
-        x, raw = featurize_corpus(
-            replace(corpus, records=corpus.records[block]), cfg, mc.use_readability
-        )
+        x, raw = featurize_corpus(corpus[block], cfg, mc.use_readability)
         yield x, (apply_scaler(scaler, raw) if mc.use_readability else None)
 
 

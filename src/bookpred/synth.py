@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Genre, SuccessLabel
+from .corpus import MANIFEST_COLUMNS, Genre, SuccessLabel
 from .embedding import write_embeddings
 from .readability import smog
 from .textstats import compute_counts, count_syllables
@@ -44,8 +44,6 @@ GENRE_WEIGHTS = {
 
 _CONSONANTS = "bcdfgjklmnprstvz"
 _VOWEL_LETTERS = "aiou"  # avoid e/y so the silent-e rule never fires
-
-_MANIFEST_HEADER = ["book_id", "genre", "avg_rating", "n_ratings", "label", "text_path"]
 
 SMOG_LABEL_THRESHOLD = 6.0
 
@@ -85,7 +83,7 @@ def _lexicon(rng: np.random.Generator, template: str, syllables: int, size: int)
 
 def _write_manifest(manifest_path: Path, rows: list[dict]) -> None:
     with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_MANIFEST_HEADER)
+        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 

@@ -513,6 +513,58 @@ class TestExportVectorsCommand:
         assert "inconsistent embedding dims" in err and "[5, 8]" in err
 
 
+class TestMalformedCsv:
+    """A CSV the csv module cannot read is an input error naming the file."""
+
+    @staticmethod
+    def oversized_field() -> str:
+        return "x" * (csv.field_size_limit() + 1)
+
+    def test_oversized_manifest_field_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "big.csv"
+        manifest.write_text(
+            "book_id,genre,avg_rating,n_ratings,label,text_path\n"
+            f"{self.oversized_field()},Poetry,4.0,10,,b1.txt\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(
+            capsys,
+            "export-vectors",
+            "--manifest", str(manifest),
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and str(manifest) in err
+        assert "field larger than field limit" in err
+
+    def test_oversized_prediction_field_exits_one(self, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text(
+            f"book_id,gold,pred\n{self.oversized_field()},Successful,Successful\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "mcnemar", str(preds), str(preds))
+        assert code == 1
+        assert err.startswith("error:") and str(preds) in err
+        assert "field larger than field limit" in err
+
+    def test_undecodable_manifest_exits_one_naming_it(self, tmp_path, capsys):
+        manifest = tmp_path / "latin1.csv"
+        manifest.write_bytes(
+            b"book_id,genre,avg_rating,n_ratings,label,text_path\n"
+            b"b\xe9,Poetry,4.0,10,,b1.txt\n"
+        )
+        code, _, err = run(
+            capsys,
+            "train",
+            "--manifest", str(manifest),
+            "--out", str(tmp_path / "m.bpmd"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and str(manifest) in err
+        assert "can't decode" in err
+
+
 class TestConfigHandling:
     def test_unknown_config_key_is_error(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ from bookpred.corpus import (
     Genre,
     LabelConflictError,
     MalformedRowError,
+    ManifestError,
     SectionSpec,
     SuccessLabel,
     UnknownGenreError,
@@ -63,15 +64,15 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(manifest)
         assert [r.book_id for r in corpus] == ["b1", "b2", "b3"]
-        assert corpus.records[0].label is SuccessLabel.SUCCESSFUL
-        assert corpus.records[1].label is SuccessLabel.UNSUCCESSFUL
-        assert corpus.records[2].label is SuccessLabel.SUCCESSFUL
-        assert corpus.records[2].avg_rating is None
-        assert corpus.records[0].text_path == tmp_path / "books/b1.txt"
+        assert corpus[0].label is SuccessLabel.SUCCESSFUL
+        assert corpus[1].label is SuccessLabel.UNSUCCESSFUL
+        assert corpus[2].label is SuccessLabel.SUCCESSFUL
+        assert corpus[2].avg_rating is None
+        assert corpus[0].text_path == tmp_path / "books/b1.txt"
 
     def test_rating_derives_label(self, tmp_path):
         manifest = write_manifest(tmp_path, ["b1,Poetry,4.2,10,,b1.txt"])
-        assert load_corpus(manifest).records[0].label is SuccessLabel.SUCCESSFUL
+        assert load_corpus(manifest)[0].label is SuccessLabel.SUCCESSFUL
 
     def test_unknown_genre_names_row(self, tmp_path):
         manifest = write_manifest(tmp_path, ["b1,Western,4.2,10,,b1.txt"])
@@ -100,6 +101,126 @@ class TestLoadCorpus:
         manifest = write_manifest(tmp_path, ["b1,Poetry,5.5,10,,b1.txt"])
         with pytest.raises(MalformedRowError, match="row 2"):
             load_corpus(manifest)
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            pytest.param(
+                ["b1,Poetry,4.2,10,,b1.txt,extra"],
+                MalformedRowError,
+                "row 2: wrong number of fields",
+                id="too-many-fields",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,10,b1.txt"],
+                MalformedRowError,
+                "row 2: wrong number of fields",
+                id="too-few-fields",
+            ),
+            pytest.param(
+                [" ,Poetry,4.2,10,,b1.txt"],
+                MalformedRowError,
+                "row 2: empty book_id",
+                id="empty-book-id",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,10,,b1.txt", " b1 ,Drama,2.0,10,,b2.txt"],
+                DuplicateBookIdError,
+                "row 3: duplicate book_id 'b1'",
+                id="duplicate-book-id",
+            ),
+            pytest.param(
+                ["b1,Western,4.2,10,,b1.txt"],
+                UnknownGenreError,
+                "row 2: unknown genre 'Western'",
+                id="unknown-genre",
+            ),
+            pytest.param(
+                ["b1,Poetry, high ,10,,b1.txt"],
+                MalformedRowError,
+                "row 2: bad avg_rating 'high'",
+                id="unparsable-avg-rating",
+            ),
+            pytest.param(
+                ["b1,Poetry,5.5,10,,b1.txt"],
+                MalformedRowError,
+                "row 2: avg_rating 5.5 outside [1, 5]",
+                id="avg-rating-out-of-range",
+            ),
+            pytest.param(
+                ["b1,Poetry,nan,10,,b1.txt"],
+                MalformedRowError,
+                "row 2: avg_rating nan outside [1, 5]",
+                id="avg-rating-nan",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,1.5,,b1.txt"],
+                MalformedRowError,
+                "row 2: bad n_ratings '1.5'",
+                id="unparsable-n-ratings",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,-3,,b1.txt"],
+                MalformedRowError,
+                "row 2: negative n_ratings",
+                id="negative-n-ratings",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,10,Great,b1.txt"],
+                MalformedRowError,
+                "row 2: unknown label 'Great'",
+                id="unknown-label",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.20,10,Unsuccessful,b1.txt"],
+                LabelConflictError,
+                "row 2: label Unsuccessful conflicts with avg_rating 4.2",
+                id="label-conflicts-with-rating",
+            ),
+            pytest.param(
+                ["b1,Poetry,,10,,b1.txt"],
+                MalformedRowError,
+                "row 2: avg_rating and label are both empty",
+                id="rating-and-label-empty",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,10,, "],
+                MalformedRowError,
+                "row 2: empty text_path",
+                id="empty-text-path",
+            ),
+            pytest.param(
+                ["b1,Western,high,-3,Great,"],
+                UnknownGenreError,
+                "row 2: unknown genre 'Western'",
+                id="genre-reported-before-later-faults",
+            ),
+            pytest.param(
+                ["b1,Poetry,high,-3,Great,"],
+                MalformedRowError,
+                "row 2: bad avg_rating 'high'",
+                id="avg-rating-reported-before-later-faults",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,-3,Great,"],
+                MalformedRowError,
+                "row 2: negative n_ratings",
+                id="n-ratings-reported-before-later-faults",
+            ),
+        ],
+    )
+    def test_row_fault_class_and_message(self, tmp_path, rows, error, message):
+        with pytest.raises(ManifestError) as excinfo:
+            load_corpus(write_manifest(tmp_path, rows))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+    def test_absolute_text_path_is_kept(self, tmp_path):
+        text = tmp_path / "elsewhere" / "b1.txt"
+        manifest_dir = tmp_path / "manifests"
+        manifest_dir.mkdir()
+        corpus = load_corpus(write_manifest(manifest_dir, [f"b1,Poetry,4.2,10,,{text}"]))
+        assert [r.text_path for r in corpus] == [text]
 
     def test_bad_header(self, tmp_path):
         manifest = tmp_path / "manifest.csv"

@@ -237,7 +237,7 @@ class TestExportVectors:
         assert len(header) == 2 + 64
 
         first = lines[1].split(",")
-        record = tiny_corpus.records[0]
+        record = tiny_corpus[0]
         assert first[0] == record.book_id
         assert first[1] == record.genre.value
         text = record.text_path.read_text(encoding="utf-8")
@@ -275,7 +275,7 @@ class TestSinglePassFeaturization:
                 yield span
 
         monkeypatch.setattr(pipeline, "sentence_spans", counting)
-        tokens = pipeline.section_tokens(tiny_corpus.records[0], SectionSpec.first(3))
+        tokens = pipeline.section_tokens(tiny_corpus[0], SectionSpec.first(3))
         assert len(tokens) == len(yielded) == 3
 
     @pytest.mark.parametrize(
@@ -422,7 +422,7 @@ class TestEvalInBatches:
         cfg = fast_cfg()
         params, scaler = untrained_model(cfg)
         monkeypatch.setattr(pipeline, "featurize_corpus", None)  # must not be reached
-        empty = replace(tiny_corpus, records=())
+        empty = ()
         with pytest.raises(ValueError, match="attribution needs at least one book"):
             attribute_readability(params, scaler, empty, cfg)
 
