@@ -31,14 +31,16 @@ with tempfile.TemporaryDirectory() as tmp:
     cnn = pipeline.train(trainval, cnn_cfg)
     best = cnn.history[cnn.best_epoch - 1]
     print(f"\nCNN: best epoch {cnn.best_epoch}, val weighted F1 {best.val_weighted_f1:.3f}")
-    cnn_report = pipeline.evaluate(cnn.params, cnn.scaler, test, cnn_cfg)
+    cnn_preds = pipeline.predict_corpus(cnn.params, cnn.scaler, test, cnn_cfg)
+    cnn_report = pipeline.report_from_predictions(cnn_preds)
     print(f"CNN test weighted F1: {cnn_report.weighted_f1:.3f}")
 
     b2v_cfg = TrainConfig(
         seed=2, epochs=40, encoder=encoder, model=ModelConfig(arch="book2vec")
     )
     b2v = pipeline.train(trainval, b2v_cfg)
-    b2v_report = pipeline.evaluate(b2v.params, b2v.scaler, test, b2v_cfg)
+    b2v_preds = pipeline.predict_corpus(b2v.params, b2v.scaler, test, b2v_cfg)
+    b2v_report = pipeline.report_from_predictions(b2v_preds)
     print(f"book2vec test weighted F1: {b2v_report.weighted_f1:.3f}")
 
     majority = pipeline.majority_baseline(trainval)
@@ -50,9 +52,7 @@ with tempfile.TemporaryDirectory() as tmp:
     for genre, f1 in cnn_report.per_genre_f1.items():
         print(f"  {genre.value:20s} {f1:.3f}")
 
-    cnn_preds = [p.pred for p in pipeline.predict_corpus(cnn.params, cnn.scaler, test, cnn_cfg)]
-    b2v_preds = [p.pred for p in pipeline.predict_corpus(b2v.params, b2v.scaler, test, b2v_cfg)]
-    result = mcnemar(cnn_preds, b2v_preds, golds)
+    result = mcnemar([p.pred for p in cnn_preds], [p.pred for p in b2v_preds], golds)
     print(
         f"\nMcNemar CNN vs book2vec: b={result.b} c={result.c} "
         f"statistic={result.statistic:.3f} p={result.p_value:.4f}"

@@ -34,7 +34,9 @@ with tempfile.TemporaryDirectory() as tmp:
             model=ModelConfig(use_readability=use_readability),
         )
         result = pipeline.train(trainval, cfg)
-        report = pipeline.evaluate(result.params, result.scaler, test, cfg)
+        report = pipeline.report_from_predictions(
+            pipeline.predict_corpus(result.params, result.scaler, test, cfg)
+        )
         reports[use_readability] = (cfg, result, report)
         tag = "with" if use_readability else "without"
         print(f"CNN {tag} readability fusion: test weighted F1 {report.weighted_f1:.3f}")

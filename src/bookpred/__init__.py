@@ -46,9 +46,10 @@ from .pipeline import (
     TrainConfig,
     TrainResult,
     attribute_readability,
-    evaluate,
     export_book_vectors,
     majority_baseline,
+    predict_corpus,
+    report_from_predictions,
     train,
 )
 from .readability import (

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import net, pipeline
-from .corpus import ManifestError, SectionSpec, SuccessLabel, load_corpus
+from .corpus import SectionSpec, SuccessLabel, load_corpus
 from .embedding import SembError, encode_hashed_bow, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError
@@ -194,9 +194,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         raise ConfigError("--jobs must be >= 1")
     cfg = _featurize_config(args)
     if cfg.encoder.kind != "hashed":
-        print("featurize produces .semb files and only supports the hashed encoder",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("featurize produces .semb files and only supports the hashed encoder")
     corpus = load_corpus(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,9 +283,14 @@ def _read_predictions(path: str) -> tuple[list[str], list[SuccessLabel], list[Su
             if not needed.issubset(set(reader.fieldnames or [])):
                 raise ValueError(f"{path}: prediction CSV needs columns {sorted(needed)}")
             for row in reader:
-                ids.append(row["book_id"])
-                golds.append(SuccessLabel.parse(row["gold"]))
-                preds.append(SuccessLabel.parse(row["pred"]))
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError("wrong number of fields")
+                    ids.append(row["book_id"])
+                    golds.append(SuccessLabel.parse(row["gold"]))
+                    preds.append(SuccessLabel.parse(row["pred"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: after line {reader.line_num}: {exc}") from None
     return ids, golds, preds
@@ -301,23 +304,16 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     if golds_a != golds_b:
         raise ValueError("prediction files disagree on gold labels")
     result = mcnemar(preds_a, preds_b, golds_a)
-    lines = [
-        f"b (A right, B wrong): {result.b}",
-        f"c (A wrong, B right): {result.c}",
-        f"statistic: {result.statistic!r}",
-        f"p_value: {result.p_value!r}",
+    rows = [
+        ("b", "b (A right, B wrong)", result.b),
+        ("c", "c (A wrong, B right)", result.c),
+        ("statistic", "statistic", result.statistic),
+        ("p_value", "p_value", result.p_value),
     ]
-    print("\n".join(lines))
+    print("\n".join(f"{gloss}: {value!r}" for _, gloss, value in rows))
     if args.out:
-        csv_text = "metric,value\n" + "\n".join(
-            [
-                f"b,{result.b}",
-                f"c,{result.c}",
-                f"statistic,{result.statistic!r}",
-                f"p_value,{result.p_value!r}",
-            ]
-        ) + "\n"
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        csv_text = "".join(f"{name},{value!r}\n" for name, _, value in rows)
+        Path(args.out).write_text("metric,value\n" + csv_text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -417,15 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ManifestError,
-        FeaturizationError,
-        SembError,
-        net.CheckpointError,
-        ConfigError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (FeaturizationError, SembError, net.CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingDivergedError as exc:

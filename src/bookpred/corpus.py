@@ -176,7 +176,9 @@ def load_corpus(manifest_path: str | Path) -> CorpusSet:
 
     Raises :class:`ManifestError` subclasses for malformed rows, unknown
     genres, duplicate book ids, and label/rating conflicts, each naming
-    the 1-based file line; missing labels are derived from the rating.
+    the 1-based file line the record ends on, so blank lines and quoted
+    newlines before it are counted; missing labels are derived from the
+    rating.
     A CSV-level fault or a non-UTF-8 byte is a :class:`MalformedRowError`
     naming the manifest.
     """
@@ -191,11 +193,11 @@ def load_corpus(manifest_path: str | Path) -> CorpusSet:
                     f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
                     f"got {reader.fieldnames}"
                 )
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
                     records.append(_parse_row(row, manifest_path.parent, seen))
                 except ManifestError as exc:
-                    raise type(exc)(f"row {line_no}: {exc}") from None
+                    raise type(exc)(f"row {reader.line_num}: {exc}") from None
         except (csv.Error, UnicodeDecodeError) as exc:
             raise MalformedRowError(
                 f"{manifest_path}: after line {reader.line_num}: {exc}"

@@ -46,7 +46,6 @@ __all__ = [
     "ForwardCache",
     "CheckpointError",
     "init_params",
-    "build_book2vec",
     "forward",
     "loss",
     "backward",
@@ -185,10 +184,9 @@ class ModelParams:
         yield "dense2_b", self.dense2_b
 
     def copy(self) -> "ModelParams":
-        return self.with_tensors({name: t.copy() for name, t in self.tensors()})
-
-    def with_tensors(self, new: dict[str, np.ndarray]) -> "ModelParams":
-        return ModelParams.from_tensors(self.config, new)
+        return ModelParams.from_tensors(
+            self.config, {name: t.copy() for name, t in self.tensors()}
+        )
 
     @classmethod
     def from_tensors(cls, config: ModelConfig, new: dict[str, np.ndarray]) -> "ModelParams":
@@ -268,16 +266,6 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             a = math.sqrt(6.0 / (fan_in + fan_out))
             tensors[name] = rng.uniform(-a, a, size=shape)
     return ModelParams.from_tensors(config, tensors)
-
-
-def build_book2vec(
-    input_dim: int, hidden_units: int = ModelConfig.hidden_units, seed: int = 0
-) -> ModelParams:
-    """Two-layer feed-forward classifier over one averaged book vector,
-    sharing the loss/optimizer/checkpoint machinery of the CNN."""
-    return init_params(
-        ModelConfig(input_dim=input_dim, arch="book2vec", hidden_units=hidden_units), seed
-    )
 
 
 def _as_batch(cfg: ModelConfig, x, readability_scaled, rows):
@@ -490,6 +478,13 @@ def readability_output_gradient(
     return d_readability[0] if single else d_readability
 
 
+# The paper's Adam settings.
+ADAM_LR = 0.0009
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment accumulators, one pair per parameter tensor."""
@@ -497,10 +492,6 @@ class AdamState:
     t: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    lr: float = 0.0009
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -517,20 +508,18 @@ def adam_step(
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     new_tensors: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, theta in params.tensors():
         g = grads[name]
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_tensors[name] = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_tensors[name] = theta - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
-    new_params = params.with_tensors(new_tensors)
-    new_state = replace(state, t=t, m=new_m, v=new_v)
-    return new_params, new_state
+    return ModelParams.from_tensors(params.config, new_tensors), AdamState(t, new_m, new_v)
 
 
 def predict(

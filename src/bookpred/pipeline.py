@@ -52,7 +52,7 @@ __all__ = [
     "featurize_corpus",
     "train",
     "predict_corpus",
-    "evaluate",
+    "report_from_predictions",
     "majority_baseline",
     "attribute_readability",
     "export_book_vectors",
@@ -305,9 +305,8 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
 def _through_float32(params: ModelParams) -> ModelParams:
     """``params`` rounded to the float32 a checkpoint stores, so a trained
     model and the same model reloaded predict bit-identically."""
-    return params.with_tensors(
-        {name: t.astype(np.float32).astype(float) for name, t in params.tensors()}
-    )
+    tensors = {name: t.astype(np.float32).astype(float) for name, t in params.tensors()}
+    return ModelParams.from_tensors(params.config, tensors)
 
 
 @dataclass(frozen=True)
@@ -379,6 +378,10 @@ class EvalReport:
 
 
 def report_from_predictions(predictions: list[BookPrediction]) -> EvalReport:
+    """Weighted F1 overall and per genre, plus the confusion matrix.
+
+    Genres absent from the predictions are omitted from per-genre scores.
+    """
     preds = [p.pred for p in predictions]
     golds = [p.gold for p in predictions]
     confusion = confusion_counts(preds, golds)
@@ -394,19 +397,6 @@ def report_from_predictions(predictions: list[BookPrediction]) -> EvalReport:
         confusion=confusion,
         n=len(predictions),
     )
-
-
-def evaluate(
-    params: ModelParams,
-    scaler: ReadabilityScaler | None,
-    test: CorpusSet,
-    cfg: TrainConfig,
-) -> EvalReport:
-    """Weighted F1 overall and per genre, plus the confusion matrix.
-
-    Genres absent from the test set are omitted from per-genre scores.
-    """
-    return report_from_predictions(predict_corpus(params, scaler, test, cfg))
 
 
 def majority_baseline(train_set: CorpusSet) -> SuccessLabel:

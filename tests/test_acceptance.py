@@ -68,7 +68,9 @@ def run_token_pipeline(trainval, test, out_dir: Path) -> dict:
     cfg = TrainConfig(seed=5, epochs=100)
     started = time.time()
     result = pipeline.train(trainval, cfg)
-    report = pipeline.evaluate(result.params, result.scaler, test, cfg)
+    report = pipeline.report_from_predictions(
+        pipeline.predict_corpus(result.params, result.scaler, test, cfg)
+    )
     elapsed = time.time() - started
     net.save_checkpoint(
         out_dir / "cnn.bpmd", result.params, result.scaler, extra=pipeline.feature_meta(cfg)
@@ -106,7 +108,9 @@ def run_readability_pipeline(root, trainval, test, out_dir: Path) -> dict:
             model=ModelConfig(use_readability=use_readability),
         )
         result = pipeline.train(trainval, cfg)
-        report = pipeline.evaluate(result.params, result.scaler, test, cfg)
+        report = pipeline.report_from_predictions(
+            pipeline.predict_corpus(result.params, result.scaler, test, cfg)
+        )
         net.save_checkpoint(
             out_dir / f"{tag}.bpmd",
             result.params,
@@ -401,7 +405,9 @@ def test_criterion_09_overfit_sanity(tmp_path_factory):
     cfg = TrainConfig(seed=3, epochs=200)
     result = pipeline.train(corpus, cfg)
     train_side, _ = split_train_val(corpus, cfg.val_fraction, cfg.seed)
-    report = pipeline.evaluate(result.final_params, result.scaler, train_side, cfg)
+    report = pipeline.report_from_predictions(
+        pipeline.predict_corpus(result.final_params, result.scaler, train_side, cfg)
+    )
     elapsed = time.time() - started
     ok = report.weighted_f1 == 1.0 and elapsed < 60.0
     report_line(

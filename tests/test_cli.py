@@ -565,6 +565,27 @@ class TestMalformedCsv:
         assert "can't decode" in err
 
 
+class TestBadPredictionRow:
+    """A prediction row mcnemar cannot use is an input error naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            pytest.param("b2,Successful,Great", "unknown label 'Great'", id="unknown-label"),
+            pytest.param("b2,Successful", "wrong number of fields", id="too-few-fields"),
+            pytest.param("b2,Successful,Successful,x", "wrong number of fields", id="too-many"),
+        ],
+    )
+    def test_exits_one_naming_file_and_line(self, tmp_path, capsys, row, reason):
+        preds = tmp_path / "p.csv"
+        preds.write_text(
+            f"book_id,gold,pred\nb1,Successful,Successful\n{row}\n", encoding="utf-8"
+        )
+        code, _, err = run(capsys, "mcnemar", str(preds), str(preds))
+        assert code == 1
+        assert err == f"error: {preds}: line 3: {reason}\n"
+
+
 class TestConfigHandling:
     def test_unknown_config_key_is_error(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -624,6 +645,21 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "--jobs must be >= 1" in err and "missing.csv" not in err
+        assert not out_dir.exists()
+
+    def test_featurize_external_encoder_exits_one_with_error_prefix(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            "featurize",
+            "--manifest", str(tmp_path / "missing.csv"),
+            "--out", str(out_dir),
+            "--set", "encoder.directory=x",
+        )
+        assert code == 1
+        assert err == (
+            "error: featurize produces .semb files and only supports the hashed encoder\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

@@ -121,4 +121,4 @@ def test_book2vec_config_carries_its_fixed_shape():
     assert b2v == ModelConfig(input_dim=8, arch="book2vec", hidden_units=7)
     assert (b2v.window_sizes, b2v.filters_per_window, b2v.dropout_p) == ((), 0, 0.0)
     assert (b2v.n_chunks, b2v.use_readability) == (1, False)
-    assert net.build_book2vec(8, hidden_units=7, seed=0).config == b2v
+    assert net.init_params(b2v, seed=0).config == b2v

@@ -207,6 +207,18 @@ class TestLoadCorpus:
                 "row 2: negative n_ratings",
                 id="n-ratings-reported-before-later-faults",
             ),
+            pytest.param(
+                ['b1,"Poetry\n",4.2,10,,b1.txt', "b2,Western,4.2,10,,b2.txt"],
+                UnknownGenreError,
+                "row 4: unknown genre 'Western'",
+                id="row-after-quoted-newline",
+            ),
+            pytest.param(
+                ["b1,Poetry,4.2,10,,b1.txt", "", "b2,Western,4.2,10,,b2.txt"],
+                UnknownGenreError,
+                "row 4: unknown genre 'Western'",
+                id="row-after-blank-line",
+            ),
         ],
     )
     def test_row_fault_class_and_message(self, tmp_path, rows, error, message):

@@ -7,7 +7,7 @@ from fd import gradcheck_model
 
 from bookpred import net
 from bookpred.corpus import SuccessLabel
-from bookpred.net import AdamState, ModelConfig, adam_step, build_book2vec, init_params
+from bookpred.net import AdamState, ModelConfig, adam_step, init_params
 from bookpred.readability import ReadabilityScaler
 
 
@@ -254,7 +254,7 @@ class TestAdam:
         assert new_state.t == 1
         for (name, before), (_, after) in zip(params.tensors(), new_params.tensors()):
             delta = after - before
-            expected = -state.lr * np.sign(grads[name])
+            expected = -net.ADAM_LR * np.sign(grads[name])
             assert np.all(np.abs(delta - expected) < 1e-6)
 
     def test_zero_gradient_leaves_params(self):
@@ -292,11 +292,10 @@ class TestAdam:
             assert state.v[name].shape == tensor.shape
 
     def test_hyperparameter_defaults(self):
-        state = AdamState.zeros(init_params(small_config(), seed=0))
-        assert state.lr == pytest.approx(0.0009)
-        assert state.beta1 == pytest.approx(0.9)
-        assert state.beta2 == pytest.approx(0.999)
-        assert state.eps == pytest.approx(1e-8)
+        assert net.ADAM_LR == pytest.approx(0.0009)
+        assert net.ADAM_BETA1 == pytest.approx(0.9)
+        assert net.ADAM_BETA2 == pytest.approx(0.999)
+        assert net.ADAM_EPS == pytest.approx(1e-8)
 
 
 class TestPredict:
@@ -330,17 +329,17 @@ class TestPredict:
 
 class TestBook2Vec:
     def test_zero_input_zero_logits(self):
-        params = build_book2vec(input_dim=16, hidden_units=50, seed=0)
+        params = init_params(ModelConfig(input_dim=16, arch="book2vec", hidden_units=50), seed=0)
         logits, _ = net.forward(params, np.zeros(16))
         assert np.allclose(logits, 0.0)
 
     def test_default_hidden_units(self):
-        params = build_book2vec(input_dim=16)
+        params = init_params(ModelConfig(input_dim=16, arch="book2vec"), seed=0)
         assert params.config.hidden_units == 50
         assert params.dense1_w.shape == (50, 16)
 
     def test_shares_optimizer_machinery(self):
-        params = build_book2vec(input_dim=6, hidden_units=4, seed=1)
+        params = init_params(ModelConfig(input_dim=6, arch="book2vec", hidden_units=4), seed=1)
         state = AdamState.zeros(params)
         x = np.random.default_rng(8).standard_normal(6)
         _, cache = net.forward(params, x, train_mode=True)
@@ -404,7 +403,7 @@ class TestCheckpoint:
             assert np.allclose(ta, tb, atol=1e-7)  # float32 storage
 
     def test_no_scaler(self, tmp_path):
-        params = build_book2vec(input_dim=4, hidden_units=3, seed=0)
+        params = init_params(ModelConfig(input_dim=4, arch="book2vec", hidden_units=3), seed=0)
         path = tmp_path / "model.bpmd"
         net.save_checkpoint(path, params)
         _, scaler, _ = net.load_checkpoint(path)

@@ -42,7 +42,8 @@ def cases(draw):
             use_readability=draw(st.booleans()),
         )
     else:
-        cfg = net.build_book2vec(draw(st.integers(1, 9)), draw(st.integers(1, 6))).config
+        cfg = net.init_params(ModelConfig(input_dim=draw(st.integers(1, 9)), arch="book2vec",
+                                          hidden_units=draw(st.integers(1, 6))), seed=0).config
     return (cfg, draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.booleans()),
             draw(st.integers(0, 2**16)))
 
@@ -51,7 +52,9 @@ CNN_WINDOW_1 = ModelConfig(input_dim=6, window_sizes=(1, 3), filters_per_window=
                            hidden_units=5, dropout_p=0.6, n_chunks=8, use_readability=True)
 CNN_PLAIN = ModelConfig(input_dim=5, window_sizes=(2,), filters_per_window=2,
                         hidden_units=4, dropout_p=0.0, n_chunks=4, use_readability=False)
-BOOK2VEC = net.build_book2vec(input_dim=7, hidden_units=3).config
+BOOK2VEC = net.init_params(
+    ModelConfig(input_dim=7, arch="book2vec", hidden_units=3), seed=0
+).config
 
 
 def make_inputs(cfg, n_books, seed):

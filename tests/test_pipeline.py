@@ -17,10 +17,10 @@ from bookpred.pipeline import (
     FeaturizationError,
     TrainConfig,
     attribute_readability,
-    evaluate,
     export_book_vectors,
     majority_baseline,
     predict_corpus,
+    report_from_predictions,
     train,
 )
 
@@ -100,7 +100,9 @@ class TestTrain:
         result = train(tiny_corpus, cfg)
         assert result.params.config.arch == "book2vec"
         assert result.scaler is None
-        report = evaluate(result.params, result.scaler, tiny_corpus, cfg)
+        report = report_from_predictions(
+            predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
+        )
         assert 0.0 <= report.weighted_f1 <= 1.0
 
     def test_missing_text_names_book(self, tmp_path):
@@ -118,7 +120,9 @@ class TestEvaluate:
     def test_perfect_predictor_reports_one(self, tiny_corpus):
         cfg = fast_cfg(epochs=40)
         result = train(tiny_corpus, cfg)
-        report = evaluate(result.final_params, result.scaler, tiny_corpus, cfg)
+        report = report_from_predictions(
+            predict_corpus(result.final_params, result.scaler, tiny_corpus, cfg)
+        )
         assert report.n == len(tiny_corpus)
         assert int(report.confusion.sum()) == report.n
         if report.weighted_f1 == 1.0:
@@ -128,7 +132,9 @@ class TestEvaluate:
         cfg = fast_cfg(epochs=1)
         result = train(tiny_corpus, cfg)
         present = {r.genre for r in tiny_corpus}
-        report = evaluate(result.params, result.scaler, tiny_corpus, cfg)
+        report = report_from_predictions(
+            predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
+        )
         assert set(report.per_genre_f1) <= present
 
     def test_predictions_in_corpus_order(self, tiny_corpus):
@@ -142,7 +148,9 @@ class TestEvaluate:
         result = train(tiny_corpus, cfg)
         other = fast_cfg(encoder=EncoderConfig(dim=128))
         with pytest.raises(ValueError, match="input_dim"):
-            evaluate(result.params, result.scaler, tiny_corpus, other)
+            report_from_predictions(
+                predict_corpus(result.params, result.scaler, tiny_corpus, other)
+            )
 
 
 class TestMajorityBaseline:
@@ -438,7 +446,7 @@ class TestExternalEncoder:
             epochs=2,
         )
         result = train(corpus, cfg)
-        report = evaluate(result.params, result.scaler, corpus, cfg)
+        report = report_from_predictions(predict_corpus(result.params, result.scaler, corpus, cfg))
         assert report.n == 20
 
     def test_missing_semb_names_book(self, tmp_path):
@@ -469,7 +477,9 @@ class TestReportSerialization:
     def test_eval_report_csv_and_text(self, tiny_corpus):
         cfg = fast_cfg(epochs=1)
         result = train(tiny_corpus, cfg)
-        report = evaluate(result.params, result.scaler, tiny_corpus, cfg)
+        report = report_from_predictions(
+            predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
+        )
         csv_text = pipeline.eval_report_csv(report)
         assert csv_text.startswith("metric,value\n")
         assert f"n,{report.n}" in csv_text
@@ -482,7 +492,9 @@ class TestReportSerialization:
         path = tmp_path / "history.csv"
         pipeline.write_history_csv(result.history, path)
         history_rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-        report = evaluate(result.params, result.scaler, tiny_corpus, cfg)
+        report = report_from_predictions(
+            predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
+        )
         report_rows = pipeline.eval_report_csv(report).strip().splitlines()[1:]
         values = [v for row in history_rows for v in row.split(",")]
         values += [row.split(",")[1] for row in report_rows]
@@ -515,8 +527,10 @@ class TestReportSerialization:
         assert rebuilt.model.n_chunks == cfg.model.n_chunks
         assert rebuilt.encoder.kind == cfg.encoder.kind
         assert rebuilt.encoder.dim == cfg.encoder.dim
-        report_a = evaluate(result.params, result.scaler, tiny_corpus, cfg)
-        report_b = evaluate(params, scaler, tiny_corpus, rebuilt)
+        report_a = report_from_predictions(
+            predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
+        )
+        report_b = report_from_predictions(predict_corpus(params, scaler, tiny_corpus, rebuilt))
         assert report_a.n == report_b.n
 
     def test_encoder_kind_decides_whether_semb_dir_is_used(self):
