@@ -247,23 +247,11 @@ class SectionSpec:
             raise ValueError(f"section {self.kind} needs k >= 1, got {self.k}")
 
     @classmethod
-    def first(cls, k: int) -> "SectionSpec":
-        return cls("first", k)
-
-    @classmethod
-    def last(cls, k: int) -> "SectionSpec":
-        return cls("last", k)
-
-    @classmethod
-    def full(cls) -> "SectionSpec":
-        return cls("full")
-
-    @classmethod
     def parse(cls, text: str) -> "SectionSpec":
         """Parse ``first:1000``, ``last:1000``, or ``full``."""
         text = text.strip()
         if text == "full":
-            return cls.full()
+            return cls("full")
         kind, sep, k_text = text.partition(":")
         if sep and kind in ("first", "last"):
             try:

@@ -23,8 +23,8 @@ SEMB layout (little-endian):
     bytes 12..15 dim, u32
     then n_sentences * dim IEEE-754 float32 values, row-major
 
-Files are written atomically (temp file in the same directory, then
-rename), so readers never observe a half-written matrix.
+Files are written by ``write_atomically`` (a temp file in the same
+directory, then a rename), so readers never see a half-written matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "SembTruncatedError",
     "SembNonFiniteError",
     "encode_hashed_bow",
+    "write_atomically",
     "write_embeddings",
     "load_embeddings",
     "chunk_average",
@@ -209,26 +210,30 @@ def encode_hashed_bow(
     return out
 
 
-def write_embeddings(matrix: np.ndarray, path: str | Path) -> None:
-    """Write a sentence-embedding matrix as a SEMB file (atomically)."""
+def write_atomically(path: str | Path, parts: list[bytes]) -> None:
+    """Write the byte strings ``parts`` to a temp file in ``path``'s
+    directory and rename it to ``path``, so readers see the old file or the
+    whole new one; on any exception the temp file is removed."""
     path = Path(path)
-    arr = np.ascontiguousarray(matrix, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ValueError(f"embedding matrix must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise SembNonFiniteError("refusing to write non-finite embedding values")
-    n, dim = arr.shape
-    header = _HEADER.pack(SEMB_MAGIC, SEMB_VERSION, n, dim)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".semb.tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(arr.tobytes(order="C"))
+            fh.writelines(parts)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def write_embeddings(matrix: np.ndarray, path: str | Path) -> None:
+    """Write a sentence-embedding matrix as a SEMB file (atomically)."""
+    arr = np.ascontiguousarray(matrix, dtype=np.float32)
+    if arr.ndim != 2:
+        raise ValueError(f"embedding matrix must be 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SembNonFiniteError("refusing to write non-finite embedding values")
+    write_atomically(path, [_HEADER.pack(SEMB_MAGIC, SEMB_VERSION, *arr.shape), arr.tobytes()])
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:

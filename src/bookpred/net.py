@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import tempfile
 import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -37,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABEL_ORDER, SuccessLabel
+from .embedding import write_atomically
 from .readability import ReadabilityScaler
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "AdamState",
     "ForwardCache",
     "CheckpointError",
+    "json_value",
     "init_params",
     "forward",
     "loss",
@@ -134,25 +134,26 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The inverse of ``to_dict``. Every field must be present with its
-        declared type: an int field takes an int and not a bool, a float
-        field an int or a float, a bool field a bool. A violation is a
-        ``ValueError`` that names the key."""
+        """The inverse of ``to_dict``. Every field must be present, with a
+        value ``json_value`` accepts for its declared type; a violation is
+        a ``ValueError`` that names the key."""
         names = [f.name for f in fields(cls)]
         unknown = sorted(set(d) - set(names))
         missing = [name for name in names if name not in d]
         if unknown or missing:
             raise ValueError(f"model config keys unknown: {unknown}, missing: {missing}")
         hints = typing.get_type_hints(cls)
-        return cls(**{name: _checked(name, hints[name], d[name]) for name in names})
+        return cls(**{name: json_value(name, hints[name], d[name]) for name in names})
 
 
-def _checked(key: str, kind, value):
-    """``value`` read from JSON as a ``kind`` field (a list for a tuple)."""
+def json_value(key: str, kind, value):
+    """``value`` read from JSON as a ``kind`` field (a list for a tuple):
+    an int field takes an int and not a bool, a float field an int or a
+    float, a bool field a bool. A violation is a ``ValueError`` naming ``key``."""
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{key} must be a list, got {value!r}")
-        return tuple(_checked(key, typing.get_args(kind)[0], v) for v in value)
+        return tuple(json_value(key, typing.get_args(kind)[0], v) for v in value)
     allowed = (int, float) if kind is float else (kind,)
     if type(value) not in allowed:
         raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
@@ -563,29 +564,18 @@ def save_checkpoint(
     scaler: ReadabilityScaler | None = None,
     extra: dict | None = None,
 ) -> None:
-    path = Path(path)
     meta = {
         "config": params.config.to_dict(),
         "extra": extra or {},
         "has_scaler": scaler is not None,
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".bpmd.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
-            fh.write(meta_bytes)
-            for _, tensor in params.tensors():
-                fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-            if scaler is not None:
-                fh.write(np.ascontiguousarray(scaler.mean, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(scaler.std, dtype="<f8").tobytes())
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    header = struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_bytes))
+    parts = [header, meta_bytes]
+    parts += [np.asarray(t, dtype="<f4").tobytes() for _, t in params.tensors()]
+    if scaler is not None:
+        parts += [np.asarray(a, dtype="<f8").tobytes() for a in (scaler.mean, scaler.std)]
+    write_atomically(path, parts)
 
 
 def load_checkpoint(
@@ -604,7 +594,7 @@ def load_checkpoint(
     try:
         meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
-        has_scaler = bool(meta["has_scaler"])
+        has_scaler = json_value("has_scaler", bool, meta["has_scaler"])
         extra = meta["extra"]
         shapes = _tensor_shapes(config)
     except (ValueError, KeyError, TypeError) as exc:

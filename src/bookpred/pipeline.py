@@ -104,7 +104,7 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     val_fraction: float = 0.2
-    section: SectionSpec = field(default_factory=lambda: SectionSpec.first(1000))
+    section: SectionSpec = field(default_factory=lambda: SectionSpec("first", 1000))
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -190,7 +190,9 @@ def featurize_corpus(
             x = np.empty((len(corpus),) + book_x.shape)
         elif book_x.shape != x.shape[1:]:
             dims = sorted({x.shape[-1], book_x.shape[-1]})
-            raise FeaturizationError(f"inconsistent embedding dims across corpus: {dims}")
+            raise FeaturizationError(
+                f"book {record.book_id}: inconsistent embedding dims across corpus: {dims}"
+            )
         x[i] = book_x
         if readability is not None:
             readability[i] = book_readability
@@ -326,23 +328,18 @@ def _eval_batches(
 ):
     """The inputs ``params`` takes, one ``cfg.batch_size`` block of books at
     a time, in corpus order: yields each block's featurized books and its
-    scaled readability rows (None when the model fuses no readability),
-    after checking that ``cfg`` featurizes the way the model was trained.
-    Only one block is featurized at a time, so memory is bounded by the
-    batch, not the corpus."""
+    scaled readability rows (None when the model fuses no readability).
+    The model's own config, not ``cfg.model``, decides the arch and the
+    chunk count. Only one block is featurized at a time, so memory is
+    bounded by the batch, not the corpus."""
     mc = params.config
-    if cfg.model.arch != mc.arch:
-        raise ValueError(f"checkpoint arch {mc.arch!r} but config says {cfg.model.arch!r}")
-    if cfg.model.n_chunks != mc.n_chunks:
-        raise ValueError(
-            f"checkpoint expects n_chunks={mc.n_chunks}, config has {cfg.model.n_chunks}"
-        )
     if cfg.encoder.kind == "hashed" and cfg.encoder.dim != mc.input_dim:
         raise ValueError(
             f"checkpoint expects input_dim={mc.input_dim}, encoder dim is {cfg.encoder.dim}"
         )
     if mc.use_readability and scaler is None:
         raise ValueError("model uses readability but no scaler was provided")
+    cfg = replace(cfg, model=mc)
     for block in _blocks(len(corpus), cfg.batch_size):
         x, raw = featurize_corpus(corpus[block], cfg, mc.use_readability)
         yield x, (apply_scaler(scaler, raw) if mc.use_readability else None)
@@ -557,23 +554,20 @@ def config_from_feature_meta(
     """The TrainConfig eval needs, rebuilt from a checkpoint's model config
     and featurization metadata; ``semb_dir`` supplies the .semb directory
     an external encoder needs (it is not stored in checkpoints) and is not
-    used for a hashed one. A missing
-    key, or a value of the wrong type (a bool is not an int here), is a
-    ``net.CheckpointError`` that names the key. The model config is the
-    one source of ``n_chunks``: a cnn's stored copy must agree with it,
-    and a book2vec's is not read (older files store 50 there)."""
+    used for a hashed one. A missing key, or a value ``net.json_value``
+    rejects, is a ``net.CheckpointError`` that names the key. The model
+    config is the one source of ``n_chunks``: a cnn's stored copy must
+    agree with it, and a book2vec's is not read (older files store 50 there)."""
     missing = [key for key in _FEATURE_META_TYPES if key not in meta]
     if missing:
         raise net.CheckpointError(
             f"checkpoint featurization metadata lacks {', '.join(missing)}"
         )
     for key, kind in _FEATURE_META_TYPES.items():
-        value = meta[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise net.CheckpointError(
-                f"checkpoint featurization metadata {key} must be {kind.__name__}, "
-                f"got {value!r}"
-            )
+        try:
+            net.json_value(key, kind, meta[key])
+        except ValueError as exc:
+            raise net.CheckpointError(f"checkpoint featurization metadata {exc}") from None
     if model_config.arch == "cnn" and meta["n_chunks"] != model_config.n_chunks:
         raise net.CheckpointError(
             f"checkpoint featurization n_chunks {meta['n_chunks']} differs from "

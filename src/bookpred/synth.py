@@ -81,11 +81,21 @@ def _lexicon(rng: np.random.Generator, template: str, syllables: int, size: int)
     return words
 
 
-def _write_manifest(manifest_path: Path, rows: list[dict]) -> None:
+def _book_row(root: Path, i: int, genre: Genre, text: str, **columns: str) -> dict:
+    """Write book ``i``'s text under ``root/books``; return its manifest row."""
+    book_id = f"book{i:04d}"
+    text_path = Path("books") / f"{book_id}.txt"
+    (root / text_path).write_text(text, encoding="utf-8")
+    return {"book_id": book_id, "genre": genre.value, **columns, "text_path": str(text_path)}
+
+
+def _write_manifest(root: Path, rows: list[dict]) -> Path:
+    manifest_path = root / "manifest.csv"
     with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
+    return manifest_path
 
 
 def make_token_corpus(
@@ -120,26 +130,14 @@ def make_token_corpus(
             if rng.random() < marker_rate:
                 words[int(rng.integers(len(words)))] = marker
             sentences.append(" ".join(words) + ".")
-        book_id = f"book{i:04d}"
-        text_path = Path("books") / f"{book_id}.txt"
-        (root / text_path).write_text(" ".join(sentences) + "\n", encoding="utf-8")
         if successful:
             rating = 3.5 + 1.5 * rng.random()
         else:
             rating = 1.0 + 2.4 * rng.random()
-        rows.append(
-            {
-                "book_id": book_id,
-                "genre": genres[i].value,
-                "avg_rating": f"{rating:.2f}",
-                "n_ratings": str(int(rng.integers(10, 500))),
-                "label": "",
-                "text_path": str(text_path),
-            }
-        )
-    manifest_path = root / "manifest.csv"
-    _write_manifest(manifest_path, rows)
-    return manifest_path
+        n_ratings = str(int(rng.integers(10, 500)))
+        columns = dict(avg_rating=f"{rating:.2f}", n_ratings=n_ratings, label="")
+        rows.append(_book_row(root, i, genres[i], " ".join(sentences) + "\n", **columns))
+    return _write_manifest(root, rows)
 
 
 def make_readability_corpus(
@@ -200,24 +198,10 @@ def make_readability_corpus(
                 f"of {SMOG_LABEL_THRESHOLD} for book {i}"
             )
 
-        book_id = f"book{i:04d}"
-        text_path = Path("books") / f"{book_id}.txt"
-        (root / text_path).write_text(text, encoding="utf-8")
+        label = SuccessLabel.SUCCESSFUL if successful else SuccessLabel.UNSUCCESSFUL
+        row = _book_row(root, i, genres[i], text, avg_rating="", n_ratings="", label=label.value)
+        rows.append(row)
 
         noise = rng.standard_normal((n_sentences, embedding_dim)).astype(np.float32)
-        write_embeddings(noise, root / "semb" / f"{book_id}.semb")
-
-        label = SuccessLabel.SUCCESSFUL if successful else SuccessLabel.UNSUCCESSFUL
-        rows.append(
-            {
-                "book_id": book_id,
-                "genre": genres[i].value,
-                "avg_rating": "",
-                "n_ratings": "",
-                "label": label.value,
-                "text_path": str(text_path),
-            }
-        )
-    manifest_path = root / "manifest.csv"
-    _write_manifest(manifest_path, rows)
-    return manifest_path
+        write_embeddings(noise, root / "semb" / f"{row['book_id']}.semb")
+    return _write_manifest(root, rows)

@@ -99,6 +99,15 @@ def test_scaler_flag_changes_declared_size(tmp_path):
         net.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "null"])
+def test_scaler_flag_of_wrong_type_is_rejected(tmp_path, value):
+    path = tmp_path / "m.bpmd"
+    net.save_checkpoint(path, init_params(tiny_config(), seed=0))
+    rewrite_meta(path, lambda meta: meta.update(has_scaler=value))
+    with pytest.raises(net.CheckpointError, match="has_scaler must be bool"):
+        net.load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "edit",
     [

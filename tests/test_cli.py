@@ -202,7 +202,7 @@ class TestFeaturizeCommand:
         writer = csv.writer(expected_csv)
         writer.writerow(_READABILITY_HEADER)
         for book_id, text in books.items():
-            sentences = select_section(ref.segment_sentences(text), SectionSpec.last(12))
+            sentences = select_section(ref.segment_sentences(text), SectionSpec("last", 12))
             matrix = ref.encode_hashed_bow([s.text for s in sentences], dim=16, seed=7)
             write_embeddings(matrix, tmp_path / "expected.semb")
             actual = (out_dir / f"{book_id}.semb").read_bytes()
@@ -353,6 +353,7 @@ class TestTrainEvalFlow:
         [
             ("section", 1000),
             ("n_chunks", "10"),
+            ("n_chunks", 49),  # well typed, but not the model's 50
             ("encoder_kind", None),
             ("encoder_kind", "bogus"),
             ("encoder_dim", "64"),
@@ -511,6 +512,7 @@ class TestExportVectorsCommand:
         )
         assert code == 1
         assert "inconsistent embedding dims" in err and "[5, 8]" in err
+        assert "book0002" in err
 
 
 class TestMalformedCsv:

@@ -21,7 +21,7 @@ NON_DEFAULT = {
     "epochs": ("7", 7),
     "batch_size": ("3", 3),
     "val_fraction": ("0.3", 0.3),
-    "section": ("last:10", SectionSpec.last(10)),
+    "section": ("last:10", SectionSpec("last", 10)),
     "encoder.dim": ("64", 64),
     "encoder.seed": ("2", 2),
     "encoder.directory": ("vecs", Path("vecs")),

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bookpred import net
 from bookpred.embedding import (
     _chunk_means,
     _hash64,
@@ -142,6 +145,33 @@ class TestSembRoundTrip:
         write_embeddings(np.zeros((3, 8), dtype=np.float32), tmp_path / "m.semb")
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def _save_small_checkpoint(path):
+    config = net.ModelConfig(
+        input_dim=8, window_sizes=(2,), filters_per_window=2, hidden_units=3, n_chunks=4
+    )
+    net.save_checkpoint(path, net.init_params(config, seed=0))
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [("m.semb", lambda path: write_embeddings(np.ones((2, 8)), path)),
+     ("m.bpmd", _save_small_checkpoint)],
+    ids=["semb", "bpmd"],
+)
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch, name, write):
+    target = tmp_path / name
+    target.write_bytes(b"old bytes")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write(target)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert target.read_bytes() == b"old bytes"
 
 
 class TestChunkAverage:

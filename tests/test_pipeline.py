@@ -283,7 +283,7 @@ class TestSinglePassFeaturization:
                 yield span
 
         monkeypatch.setattr(pipeline, "sentence_spans", counting)
-        tokens = pipeline.section_tokens(tiny_corpus[0], SectionSpec.first(3))
+        tokens = pipeline.section_tokens(tiny_corpus[0], SectionSpec("first", 3))
         assert len(tokens) == len(yielded) == 3
 
     @pytest.mark.parametrize(
@@ -360,7 +360,7 @@ class TestOneTokenizationPerBook:
             encoding="utf-8",
         )
         (record,) = load_corpus(manifest)
-        cfg = TrainConfig(section=SectionSpec.full())
+        cfg = TrainConfig(section=SectionSpec("full"))
         tracemalloc.start()
         try:
             x, _ = pipeline.featurize_book(record, cfg)
@@ -433,6 +433,33 @@ class TestEvalInBatches:
         empty = ()
         with pytest.raises(ValueError, match="attribution needs at least one book"):
             attribute_readability(params, scaler, empty, cfg)
+
+
+class TestEvalFollowsTheCheckpoint:
+    """Eval and attribution featurize with the model's own config, whatever
+    ``cfg.model`` says; only the encoder and the scaler are checked."""
+
+    @pytest.mark.parametrize(
+        "model", [ModelConfig(n_chunks=20), ModelConfig(arch="book2vec")], ids=["n_chunks", "arch"]
+    )
+    def test_cfg_model_is_not_read(self, tiny_corpus, model):
+        cfg = fast_cfg(batch_size=5)
+        params, scaler = untrained_model(cfg)
+        same = replace(cfg, model=params.config)
+        other = replace(cfg, model=model)
+        expected = predict_corpus(params, scaler, tiny_corpus, same)
+        assert predict_corpus(params, scaler, tiny_corpus, other) == expected
+        expected = attribute_readability(params, scaler, tiny_corpus, same)
+        report = attribute_readability(params, scaler, tiny_corpus, other)
+        assert np.array_equal(report.mean_gradient, expected.mean_gradient)
+        assert report.n_books == expected.n_books
+
+    @pytest.mark.parametrize("run", [predict_corpus, attribute_readability])
+    def test_readability_model_needs_a_scaler(self, tiny_corpus, run):
+        cfg = fast_cfg()
+        params, _ = untrained_model(cfg)
+        with pytest.raises(ValueError, match="no scaler was provided"):
+            run(params, None, tiny_corpus, cfg)
 
 
 class TestExternalEncoder:
