@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -275,13 +274,12 @@ class SectionSpec:
         return slice(None)
 
 
-def select_section(items: Iterable, spec: SectionSpec) -> list:
+def select_section(items: Iterable, spec: SectionSpec):
     """The leading or trailing ``k`` items, or all of them, in order; a
-    shorter input gives all it has. ``first:K`` takes only the first
-    ``k`` items from an iterator, so over a lazy sentence source it reads
-    only the first K sentences."""
-    if spec.kind == "first":
-        return list(islice(items, spec.k))
-    if spec.kind == "last":
-        return list(deque(items, maxlen=spec.k))
-    return list(items)
+    shorter input gives all it has. A sequence, such as a list or a
+    text's ``textstats.Sentences``, is sliced with ``spec.as_slice()``;
+    an iterator is read into a list first, only its first ``k`` items
+    for ``first:K``."""
+    if isinstance(items, Iterator):
+        items = list(islice(items, spec.k) if spec.kind == "first" else items)
+    return items[spec.as_slice()]

@@ -36,7 +36,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import Tokens, counts_from_sentences, sentence_spans, tokenize_sentences
+from .textstats import Tokens, counts_from_sentences, split_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -117,8 +117,9 @@ class TrainConfig:
 
 def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
     """The configured section of one book, tokenized once: the text is
-    read once and segmented lazily, so ``first:K`` stops after the K-th
-    sentence. A section without sentences is a ``FeaturizationError``."""
+    read once, and ``first:K`` segments only a prefix that holds the
+    first K sentences. A section without sentences is a
+    ``FeaturizationError``."""
     try:
         text = record.text_path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -127,14 +128,18 @@ def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
         raise FeaturizationError(
             f"book {record.book_id}: cannot decode text as UTF-8 ({exc})"
         ) from exc
-    tokens = tokenize_sentences(select_section(sentence_spans(text), section))
+    first = section.k if section.kind == "first" else None
+    sentences = select_section(split_sentences(text, first), section)
+    del text  # the sentences hold its UTF-8 bytes; tokenizing needs only those
+    tokens = sentences.tokens()
     if not tokens:
         raise FeaturizationError(f"book {record.book_id}: no sentences")
     return tokens
 
 
 def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
-    """The configured section's rows of one book's .semb matrix."""
+    """The configured section's rows of one book's .semb matrix, whose dim
+    must be ``cfg.model.input_dim`` once a checkpoint has set it."""
     semb_path = cfg.encoder.directory / f"{record.book_id}.semb"
     try:
         matrix = load_embeddings(semb_path)
@@ -142,6 +147,11 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
         raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
     if not len(matrix):
         raise FeaturizationError(f"book {record.book_id}: empty embedding matrix")
+    if cfg.model.input_dim and matrix.shape[1] != cfg.model.input_dim:
+        raise FeaturizationError(
+            f"book {record.book_id}: {semb_path} has dim {matrix.shape[1]}, "
+            f"checkpoint expects input_dim={cfg.model.input_dim}"
+        )
     return matrix[cfg.section.as_slice()]
 
 

@@ -5,39 +5,40 @@ readability scores are reproducible byte for byte. The rules are fixed:
 
 * sentences split at runs of ``.`` ``!`` ``?`` followed by whitespace,
   or at blank-line paragraph breaks, with a short abbreviation list
-  suppressing false splits; one compiled regular expression finds the
-  candidate boundaries, so the text is scanned in C, not character by
-  character in Python. Its leading lookahead for a terminator or a
-  newline lets the scan skip straight to the next candidate, and the
-  abbreviation check runs only for a lone ``.`` after r, s, t, c, g or
-  e in either case, the letters that come before an abbreviation's
-  final ``.``. ``sentence_spans`` yields each sentence's raw span
-  lazily, so a caller that needs the first K sentences segments only
-  those; ``segment_sentences`` lists them whitespace-normalized;
+  suppressing false splits;
 * words are maximal runs of letters and digits, allowing internal
   apostrophes and hyphens, so whitespace is never part of a word and a
-  raw span tokenizes exactly as its normalized string does;
-  ``tokenize_sentences`` tokenizes sentences once into ``Tokens`` (a
-  first-sight vocabulary plus one id per word), which the hashed
-  encoder and the counts both read; a word's character count is its
-  length less its apostrophes and hyphens;
+  raw span tokenizes exactly as its normalized string does; a word's
+  character count is its length less its apostrophes and hyphens;
 * syllables are counted as maximal vowel groups (a, e, i, o, u, y) with
   the terminal silent-e rule, floored at 1.
+
+One array kernel applies the first two rules; featurizing a section
+runs no Python loop per sentence or word. ``split_sentences`` classifies
+each UTF-8 byte once, ASCII by table and each multi-byte character by
+its ``str`` class, asked once per distinct character. Masks give the
+boundaries; the abbreviation list is checked only for a short token
+before a lone ``.``. ``Sentences.tokens`` takes words as maximal runs of
+"letter or digit, or a separator between two", numbers them in a
+first-sight vocabulary and counts each sentence's words by
+``searchsorted``. ``tokenize_words`` is the one-sentence regex the
+kernel must agree with.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "TextCounts",
     "Tokens",
-    "sentence_spans",
+    "Sentences",
+    "split_sentences",
     "segment_sentences",
     "tokenize_words",
     "tokenize_sentences",
@@ -54,19 +55,37 @@ _ABBREVIATIONS = frozenset(
 # right before an abbreviation's '.': only a '.' after one of them can
 # end an abbreviation.
 _ABBREVIATION_ENDS = frozenset("rstcgeRSTCGE")
-
-# Candidate sentence boundaries: a run of terminators followed by
-# whitespace or the end of the text, or a blank line (newline, optional
-# spaces, tabs or carriage returns, newline). ``\s`` matches exactly the
-# characters ``str.isspace()`` accepts. The leading lookahead changes no
-# match; it lets the regex engine skip ahead to the next candidate.
-_BOUNDARY_RE = re.compile(r"(?=[.!?\n])(?:[.!?]+(?=\s|\Z)|\n[ \t\r]*\n)")
+_OPENERS = "\"'“”‘’([{"  # stripped from a token before the list is checked
 
 # Letters/digits (no underscore), with internal apostrophes or hyphens.
 # ``[^\W_]`` matches exactly the characters ``str.isalnum()`` accepts.
 _WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
 
 _VOWELS = frozenset("aeiouy")
+
+# The class of a character, which each of its UTF-8 bytes carries; the
+# classes from _SPACE on are whitespace. A joiner is a one-byte in-word
+# separator; the three-byte ’ is found by its bytes.
+_OTHER, _ALNUM, _JOINER, _TERMINATOR, _SPACE, _FILL, _NEWLINE = range(7)
+_RIGHT_QUOTE = tuple("’".encode())
+_UTF8 = ("utf-8", "surrogatepass")
+
+
+def _char_class(ch: str) -> int:
+    for cls, chars in ((_NEWLINE, "\n"), (_FILL, " \t\r"), (_JOINER, "'-"), (_TERMINATOR, ".!?")):
+        if ch in chars:
+            return cls
+    return _ALNUM if ch.isalnum() else _SPACE if ch.isspace() else _OTHER
+
+
+_ASCII_CLASSES = bytes(_char_class(chr(b)) if b < 128 else 0 for b in range(256))
+# Bytes that can end the letter before an abbreviation's '.', or an
+# opener: a character matches by its last byte, which lets only more
+# tokens through to the exact check.
+_ABBREVIATION_END_BYTES = np.array([chr(b) in _ABBREVIATION_ENDS for b in range(256)])
+_OPENER_END_BYTES = np.array([b in {c.encode()[-1] for c in _OPENERS} for b in range(256)])
+_PREFIX_CHARS_PER_SENTENCE = 64  # a first=K prefix starts this long per sentence
+_BLOCK_SENTENCES = 512  # sentences tokenized per array pass
 
 
 @dataclass(frozen=True)
@@ -81,52 +100,57 @@ class TextCounts:
 
 
 def _ends_with_abbreviation(chunk: str) -> bool:
-    parts = chunk.rsplit(None, 1)
-    if not parts:
-        return False
-    token = parts[-1].lstrip("\"'“”‘’([{")
-    return token.lower() in _ABBREVIATIONS
+    """Whether the last token of ``chunk``, which ends in '.', is listed."""
+    return chunk.rsplit(None, 1)[-1].lstrip(_OPENERS).lower() in _ABBREVIATIONS
 
 
-def sentence_spans(text: str) -> Iterator[str]:
-    """Yield the sentences of ``text`` lazily, each as its raw span.
-
-    Boundaries are runs of ``.!?`` followed by whitespace (or end of
-    text) and blank-line paragraph breaks. A trailing abbreviation
-    (Mr., Mrs., Dr., St., vs., etc., e.g., i.e.) suppresses the split.
-    Whitespace-only segments are dropped; a segment without words, such
-    as ``"—."``, is a sentence. One regex search per candidate boundary
-    drives the split, and the text after the last span yielded is not
-    scanned until the next one is asked for.
-    """
-    start = 0
-    for match in _BOUNDARY_RE.finditer(text):
-        first, end = match.span()
-        if text[first] == "\n":
-            # A blank line is a paragraph break; its newlines start the
-            # next span, whose whitespace no word includes.
-            end = first
-        elif (
-            text[first:end] == "."
-            and first
-            and text[first - 1] in _ABBREVIATION_ENDS
-            and _ends_with_abbreviation(text[start:end])
-        ):
-            continue
-        span = text[start:end]
-        start = end
-        if span.strip():
-            yield span
-    span = text[start:]
-    if span.strip():
-        yield span
+def _classify(data: bytes) -> np.ndarray:
+    """The class of every byte of the UTF-8 ``data``: an ASCII byte's by
+    table, and a multi-byte character's computed once per distinct one."""
+    classes = np.frombuffer(data.translate(_ASCII_CLASSES), np.uint8).copy()
+    codes = np.frombuffer(data, np.uint8)
+    leads = np.flatnonzero(codes >= 0xC0)
+    width = 2 + (codes[leads] >= 0xE0) + (codes[leads] >= 0xF0)
+    key = np.zeros(len(leads), np.uint32)  # the character's bytes, big-endian
+    for k in range(4):
+        key = key << 8 | np.where(k < width, codes[np.minimum(leads + k, len(codes) - 1)], 0)
+    distinct = np.sort(key)
+    distinct = distinct[np.diff(distinct, prepend=np.uint32(0)) != 0]  # no key is 0
+    chars = [int(c).to_bytes(4, "big").rstrip(b"\0").decode(*_UTF8) for c in distinct.tolist()]
+    lead_classes = np.array([_char_class(c) for c in chars], np.uint8)
+    lead_classes = lead_classes[np.searchsorted(distinct, key)]
+    for k in range(4):
+        classes[leads[k < width] + k] = lead_classes[k < width]
+    return classes
 
 
-def segment_sentences(text: str) -> list[str]:
-    """The sentences of ``text`` as ``sentence_spans`` finds them, each
-    with its internal whitespace collapsed to single spaces and its ends
-    stripped, so every non-whitespace character is kept."""
-    return [" ".join(span.split()) for span in sentence_spans(text)]
+def _sentence_bounds(data: bytes, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end byte offsets of each sentence's raw span in the
+    UTF-8 ``data``, from the boundary before it to the one after it."""
+    if not data:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    codes = np.frombuffer(data, np.uint8)
+    # A blank line starts at a newline followed, after only spaces, tabs
+    # or carriage returns (no byte of a class below _FILL), by another one.
+    lines = np.flatnonzero(classes == _NEWLINE)
+    between = np.minimum.reduceat(classes[: lines.max(initial=0) + 1], lines[:-1] + 1)
+    blank = lines[:-1][between >= _FILL]
+    # Terminator runs followed by whitespace; one at the end splits nothing
+    # off. The exact abbreviation check runs only for a lone '.' after a
+    # letter that can end one, closing a token of at most 4 bytes after
+    # the text's start, whitespace or an opener.
+    ends = np.flatnonzero(classes[:-1] == _TERMINATOR)
+    ends = ends[classes[ends + 1] >= _SPACE] + 1
+    before = np.maximum(ends[:, None] - [4, 5], 0)
+    short = (ends <= 4) | ((classes[before] >= _SPACE) | _OPENER_END_BYTES[codes[before]]).any(1)
+    maybe = short & (codes[ends - 1] == ord(".")) & _ABBREVIATION_END_BYTES[codes[ends - 2]]
+    chunks = zip(np.append(0, ends)[:-1][maybe].tolist(), ends[maybe].tolist())
+    abbreviated = [_ends_with_abbreviation(data[a:b].decode(*_UTF8)) for a, b in chunks]
+    ends = np.delete(ends, np.flatnonzero(maybe)[abbreviated])
+    # A cut that repeats starts at whitespace, so its empty segment goes too.
+    cuts = np.sort(np.concatenate(([0], ends, blank)))
+    keep = np.minimum.reduceat(classes, cuts) < _SPACE  # drop whitespace-only segments
+    return cuts[keep], np.append(cuts[1:], len(data))[keep]
 
 
 def tokenize_words(sentence: str) -> list[str]:
@@ -161,22 +185,87 @@ class _Vocabulary(dict):
         return n
 
 
+@dataclass(frozen=True, eq=False)
+class Sentences:
+    """Sentences of a text: its UTF-8 ``data``, the class of each byte,
+    and the ``starts`` and ``ends`` byte offsets of each sentence's raw
+    span (int64). ``len()`` counts the sentences; a slice selects some."""
+
+    data: bytes
+    classes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, rows: slice) -> Sentences:
+        return replace(self, starts=self.starts[rows], ends=self.ends[rows])
+
+    def spans(self) -> list[str]:
+        """Each sentence's raw span, whitespace included."""
+        bounds = zip(self.starts.tolist(), self.ends.tolist())
+        return [self.data[a:b].decode(*_UTF8) for a, b in bounds]
+
+    def tokens(self) -> Tokens:
+        """The words of the sentences, tokenized in array passes over
+        blocks of sentences, which bound the memory a pass takes; no word
+        crosses the whitespace between two sentences."""
+        vocab = _Vocabulary()
+        ids = array("q")
+        lengths = array("q")
+        for block in range(0, len(self), _BLOCK_SENTENCES):
+            starts = self.starts[block : block + _BLOCK_SENTENCES]
+            lo, hi = int(starts[0]), int(self.ends[block + len(starts) - 1])
+            codes = np.frombuffer(self.data, np.uint8)[lo:hi]
+            classes = self.classes[lo:hi]
+            alnum = classes == _ALNUM
+            word = alnum.copy()
+            word[1:-1] |= (classes[1:-1] == _JOINER) & alnum[:-2] & alnum[2:]
+            q = np.flatnonzero(codes[1:-3] == _RIGHT_QUOTE[0]) + 1  # a ’ between letters
+            q = q[(codes[q + 1] == _RIGHT_QUOTE[1]) & (codes[q + 2] == _RIGHT_QUOTE[2])]
+            word[np.add.outer(q[alnum[q - 1] & alnum[q + 3]], range(3))] = True
+            word_starts = np.flatnonzero(word & ~np.append(False, word[:-1]))
+            ends = np.append(starts - lo, hi - lo)
+            lengths.extend(np.diff(np.searchsorted(word_starts, ends)).tolist())
+            words = np.where(word, codes, ord(" ")).tobytes().decode(*_UTF8)
+            ids.extend(map(vocab.__getitem__, words.split()))
+        return Tokens(list(vocab), np.frombuffer(ids, np.int64), np.frombuffer(lengths, np.int64))
+
+
+def split_sentences(text: str, first: int | None = None) -> Sentences:
+    """The sentences of ``text`` by the rules above, or only its first
+    ``first`` ones. Whitespace-only segments are dropped; a segment
+    without words, such as ``"—."``, is a sentence. With ``first``, a
+    prefix of the text is segmented, grown until it holds more than
+    ``first`` sentences or is the whole text: a prefix's boundaries are
+    the text's up to the start of its last sentence, so every sentence
+    before that one is final."""
+    size = len(text) if first is None else _PREFIX_CHARS_PER_SENTENCE * (first + 1)
+    while True:
+        data = text[:size].encode(*_UTF8)
+        classes = _classify(data)
+        starts, ends = _sentence_bounds(data, classes)
+        if size >= len(text) or len(starts) > first:
+            return Sentences(data, classes, starts[:first], ends[:first])
+        size *= max(2, 2 * (first + 1) // max(len(starts), 1))
+
+
+def segment_sentences(text: str) -> list[str]:
+    """The sentences of ``text`` as ``split_sentences`` finds them, each
+    with its internal whitespace collapsed to single spaces and its ends
+    stripped, so every non-whitespace character is kept."""
+    return [" ".join(span.split()) for span in split_sentences(text).spans()]
+
+
 def tokenize_sentences(texts: Iterable[str]) -> Tokens:
-    """Tokenize each sentence text once, streaming: ids are numbered in a
-    first-sight vocabulary as the words go by, so no list of every word
-    string is ever held."""
-    vocab = _Vocabulary()
-    token_id = vocab.__getitem__
-    ids = array("q")
-    lengths = array("q")
-    for words in map(tokenize_words, texts):
-        lengths.append(len(words))
-        ids.extend(map(token_id, words))
-    return Tokens(
-        vocab=list(vocab),
-        ids=np.frombuffer(ids, dtype=np.int64),
-        lengths=np.frombuffer(lengths, dtype=np.int64),
-    )
+    """Tokenize each text as one sentence, all in one pass: the texts are
+    joined, each followed by a space, which no word crosses."""
+    pieces = [text.encode(*_UTF8) for text in texts]
+    data = b" ".join(pieces) + b" "
+    sizes = np.array([len(piece) + 1 for piece in pieces], np.int64)
+    ends = np.cumsum(sizes)
+    return Sentences(data, _classify(data), ends - sizes, ends).tokens()
 
 
 def count_syllables(word: str) -> int:
@@ -238,4 +327,4 @@ def counts_from_sentences(tokens: Tokens) -> TextCounts:
 
 def compute_counts(text: str) -> TextCounts:
     """Segment and tokenize ``text`` and return its aggregate count statistics."""
-    return counts_from_sentences(tokenize_sentences(sentence_spans(text)))
+    return counts_from_sentences(split_sentences(text).tokens())

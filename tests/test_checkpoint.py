@@ -64,7 +64,7 @@ def test_extra_must_be_an_object(tmp_path):
     path = tmp_path / "m.bpmd"
     net.save_checkpoint(path, init_params(tiny_config(), seed=0))
     rewrite_meta(path, lambda meta: meta.update(extra="first:1000"))
-    with pytest.raises(net.CheckpointError, match="extra"):
+    with pytest.raises(net.CheckpointError, match="extra must be"):
         net.load_checkpoint(path)
 
 

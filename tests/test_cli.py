@@ -515,6 +515,30 @@ class TestExportVectorsCommand:
         assert "book0002" in err
 
 
+class TestExternalEncoderEval:
+    @pytest.mark.parametrize("command", ["eval", "attribute"])
+    def test_semb_dim_other_than_the_checkpoints_exits_one(self, tmp_path, capsys, command):
+        manifest = synth.make_readability_corpus(
+            tmp_path, n_books=8, seed=5, embedding_dim=16, sentences_per_book=(5, 8)
+        )
+        ckpt = tmp_path / "m.bpmd"
+        code, _, _ = run(
+            capsys, "train", "--manifest", str(manifest), "--out", str(ckpt),
+            "--semb-dir", str(tmp_path / "semb"), "--set", "epochs=1",
+        )
+        assert code == 0
+        (tmp_path / "semb8").mkdir()
+        for book in sorted((tmp_path / "semb").glob("*.semb")):
+            write_embeddings(np.ones((6, 8)), tmp_path / "semb8" / book.name)
+        code, _, err = run(
+            capsys, command, "--checkpoint", str(ckpt), "--manifest", str(manifest),
+            "--semb-dir", str(tmp_path / "semb8"),
+        )
+        assert code == 1
+        assert f"{tmp_path / 'semb8' / 'book0000.semb'} has dim 8" in err
+        assert "checkpoint expects input_dim=16" in err
+
+
 class TestMalformedCsv:
     """A CSV the csv module cannot read is an input error naming the file."""
 

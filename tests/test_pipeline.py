@@ -266,25 +266,26 @@ class TestExportVectors:
 class TestSinglePassFeaturization:
     def test_one_segmentation_per_book(self, tiny_corpus, monkeypatch):
         texts = []
-        spans = pipeline.sentence_spans
+        split = pipeline.split_sentences
         monkeypatch.setattr(
-            pipeline, "sentence_spans", lambda text: texts.append(text) or spans(text)
+            pipeline,
+            "split_sentences",
+            lambda text, first=None: texts.append(text) or split(text, first),
         )
         pipeline.featurize_corpus(tiny_corpus, fast_cfg())
         assert len(texts) == len(tiny_corpus)
 
     def test_first_k_segments_only_k_sentences(self, tiny_corpus, monkeypatch):
-        yielded = []
-        spans = pipeline.sentence_spans
+        found = []
+        split = pipeline.split_sentences
 
-        def counting(text):
-            for span in spans(text):
-                yielded.append(span)
-                yield span
+        def recording(text, first=None):
+            found.append(split(text, first))
+            return found[-1]
 
-        monkeypatch.setattr(pipeline, "sentence_spans", counting)
+        monkeypatch.setattr(pipeline, "split_sentences", recording)
         tokens = pipeline.section_tokens(tiny_corpus[0], SectionSpec("first", 3))
-        assert len(tokens) == len(yielded) == 3
+        assert len(tokens) == len(found[0]) == 3
 
     @pytest.mark.parametrize(
         "section, encoder, arch",
@@ -324,24 +325,20 @@ class TestSinglePassFeaturization:
 
 class TestOneTokenizationPerBook:
     @pytest.mark.parametrize("arch", ["cnn", "book2vec"])
-    def test_tokenize_words_once_per_section_sentence(self, tiny_corpus, monkeypatch, arch):
+    def test_section_tokenized_once_per_book(self, tiny_corpus, monkeypatch, arch):
         cfg = fast_cfg(section=SectionSpec.parse("last:17"), model=ModelConfig(arch=arch))
-        n_sentences = sum(
-            len(pipeline.section_tokens(record, cfg.section)) for record in tiny_corpus
-        )
         calls = []
-        tokenize = textstats.tokenize_words
+        tokens = textstats.Sentences.tokens
 
-        def counting(sentence):
-            calls.append(sentence)
-            return tokenize(sentence)
+        def counting(sentences):
+            calls.append(len(sentences))
+            return tokens(sentences)
 
-        # Patch every module namespace that holds the tokenizer.
-        for module in (textstats, embedding):
-            if hasattr(module, "tokenize_words"):
-                monkeypatch.setattr(module, "tokenize_words", counting)
+        monkeypatch.setattr(textstats.Sentences, "tokens", counting)
+        monkeypatch.setattr(textstats, "tokenize_sentences", None)
+        monkeypatch.setattr(embedding, "tokenize_sentences", None)
         pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
-        assert len(calls) == n_sentences
+        assert calls == [17] * len(tiny_corpus)
 
     def test_chunk_averages_never_build_the_sentence_matrix(self, tmp_path):
         rng = np.random.default_rng(4)

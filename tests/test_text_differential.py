@@ -1,11 +1,15 @@
-"""Differential tests: the regex-driven segmenter, the vocabulary-and-scatter
-hashed encoder, the frequency-weighted counts and the one-pass tokenizer
-against the character-loop and per-token reference in ``text_reference``.
-Everything must agree exactly: the same sentence texts, the same tokens
-whether raw spans or normalized sentences are tokenized, the same
+"""Differential tests: the array segmenter and tokenizer, the
+vocabulary-and-scatter hashed encoder and the frequency-weighted counts
+against the character-loop and per-token reference in ``text_reference``
+and the one-sentence regex ``tokenize_words``. Everything must agree
+exactly: the same sentence texts, the same tokens whether raw spans,
+normalized sentences or a book's section are tokenized, the same
 ``TextCounts`` and encoder matrices equal bit for bit, and chunk averages
 built block by block equal ``chunk_average`` of the full matrix bit for bit.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import text_reference as ref
+from bookpred import pipeline, textstats
+from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel, select_section
 from bookpred.embedding import _BLOCK_ROWS, chunk_average, encode_hashed_bow
 from bookpred.textstats import (
     counts_from_sentences,
     segment_sentences,
-    sentence_spans,
+    split_sentences,
     tokenize_sentences,
     tokenize_words,
 )
@@ -72,6 +78,7 @@ def test_encoder_matches_reference(sentences, dim, seed):
 @example("")
 @example("... !!! ???")
 @example("Don't stop. don't STOP! Straße, well-known 42.")
+@example("Four-byte 😀x😀 and 日本語’s. Lone \ud800 surrogate! Combining é\u0301 mark.")
 def test_tokens_match_per_sentence_tokenization(text):
     sentences = ref.segment_sentences(text)
     tokens = tokenize_sentences(s.text for s in sentences)
@@ -83,7 +90,7 @@ def test_tokens_match_per_sentence_tokenization(text):
     assert tokens.lengths.tolist() == [len(w) for w in words]
     assert tokens.ids.dtype == tokens.lengths.dtype == np.int64
     assert counts_from_sentences(tokens) == ref.counts_from_sentences(sentences)
-    from_spans = tokenize_sentences(sentence_spans(text))
+    from_spans = tokenize_sentences(split_sentences(text).spans())
     assert from_spans.vocab == tokens.vocab
     assert from_spans.ids.tobytes() == tokens.ids.tobytes()
     assert from_spans.lengths.tobytes() == tokens.lengths.tobytes()
@@ -142,3 +149,67 @@ def test_chunked_encoder_across_block_boundaries(n_sentences, n_chunks):
         for k in rng.integers(0, 9, size=n_sentences)
     ]
     _same_chunks(sentences, n_chunks)
+
+
+# The first window of ``first:K`` segmentation holds the text's first
+# ``_WINDOW * (K + 1)`` characters. With K = 1, each example below ends
+# that window at ``_END`` inside a place where a rule looks across it.
+_WINDOW = textstats._PREFIX_CHARS_PER_SENTENCE
+_END = 2 * _WINDOW
+
+
+def _pad(n):
+    """``n`` characters: one long word and a space."""
+    return "o" * (n - 1) + " "
+
+
+def _same_tokens(tokens, sentences):
+    words = [tokenize_words(s.text) for s in sentences]
+    flat = [w for sentence_words in words for w in sentence_words]
+    assert tokens.vocab == list(dict.fromkeys(flat))
+    assert [tokens.vocab[i] for i in tokens.ids] == flat
+    assert tokens.lengths.tolist() == [len(w) for w in words]
+    assert tokens.ids.dtype == tokens.lengths.dtype == np.int64
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PIECES), min_size=50, max_size=400).map("".join),
+    st.integers(1, 4),
+)
+@example(_pad(_END - 5) + "Yes?!. Then a second one. And a third.", 1)  # in "?!."
+@example(_pad(_END - 5) + "end\n \t\r\nnext line. more", 1)  # in "\n \t\r\n"
+@example(_pad(_END - 3) + "Mr. Smith now. Bye. Go.", 1)  # right after "Mr."
+@example(_pad(_END - 5) + "Straße café. Two. Three.", 1)  # right after "ß"
+def test_section_tokens_match_reference(text, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "book.txt"
+        path.write_text(text, encoding="utf-8")
+        record = BookRecord("b", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, path)
+        # Reading the file translates newlines, as every book is read.
+        read = ref.segment_sentences(path.read_text(encoding="utf-8"))
+        sentences = ref.segment_sentences(text)
+        for spec in (SectionSpec("full"), SectionSpec("first", k), SectionSpec("last", k)):
+            first = spec.k if spec.kind == "first" else None
+            _same_tokens(
+                select_section(split_sentences(text, first), spec).tokens(),
+                select_section(sentences, spec),
+            )
+            if read:
+                _same_tokens(pipeline.section_tokens(record, spec), select_section(read, spec))
+            else:
+                with pytest.raises(pipeline.FeaturizationError, match="no sentences"):
+                    pipeline.section_tokens(record, spec)
+
+
+def test_first_k_classifies_only_a_prefix(monkeypatch):
+    sizes = []
+    classify = textstats._classify
+    monkeypatch.setattr(
+        textstats, "_classify", lambda data: sizes.append(len(data)) or classify(data)
+    )
+    text = "One short sentence here. " * 2000
+    assert split_sentences(text, 10).spans() == ["One short sentence here."] + [
+        " One short sentence here."
+    ] * 9
+    assert 0 < sum(sizes) < len(text) / 10

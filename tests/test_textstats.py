@@ -11,7 +11,7 @@ from bookpred.textstats import (
     count_syllables,
     counts_from_sentences,
     segment_sentences,
-    sentence_spans,
+    split_sentences,
     tokenize_sentences,
     tokenize_words,
 )
@@ -77,8 +77,11 @@ class TestSegmentSentences:
 
     def test_spans_are_raw_and_keep_wordless_sentences(self):
         text = "  a.\tb!\n\n \u2014.  \n \n  c  "
-        assert list(sentence_spans(text)) == ["  a.", "\tb!", "\n\n \u2014.", "\n \n  c  "]
+        assert split_sentences(text).spans() == ["  a.", "\tb!", "\n\n \u2014.", "\n \n  c  "]
         assert segment_sentences(text) == ["a.", "b!", "\u2014.", "c"]
+        # Every newline followed, after only fill, by another starts a
+        # blank line; the next span starts at the last of them.
+        assert split_sentences("a\n\n\nb").spans() == ["a", "\n\nb"]
 
 
 class TestTokenizeWords:

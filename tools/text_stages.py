@@ -1,0 +1,118 @@
+"""Time the three text stages of featurization on seeded long books.
+
+    python tools/text_stages.py [--tiny]
+
+The tool writes seeded long books into a temporary directory: plain ASCII
+ones and a copy of each with “curly quotes” and ’ apostrophes, so that the
+text is not pure ASCII. For each set, at ``full`` and at ``first:1000``, it
+times, through the public API only:
+
+* ``segment+tokenize``: ``pipeline.section_tokens`` (read, segment and
+  tokenize the section);
+* ``counts``: ``textstats.counts_from_sentences`` on those tokens;
+* ``hashed-512``: ``embedding.encode_hashed_bow`` at dim 512 and 50 chunks,
+  as the default CNN featurizes.
+
+Each line gives the median over five passes of the seconds a stage takes
+for all books of a set, and MB/s, where MB is the size of the book files
+(at ``first:1000`` too, so there the rate shows how little of each book is
+read). The books are seeded (seed 5), four of 14,000 sentences each, about
+1.1 MB. ``--tiny`` uses two books of 300 sentences and one pass, as a quick
+check that the stages run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel  # noqa: E402
+from bookpred.embedding import encode_hashed_bow  # noqa: E402
+from bookpred.pipeline import section_tokens  # noqa: E402
+from bookpred.textstats import counts_from_sentences  # noqa: E402
+
+MB = 1e6
+SEED = 5
+
+
+def book_texts(seed: int, n_sentences: int) -> tuple[str, str]:
+    """One seeded book of ``n_sentences`` sentences of 6-12 words, as plain
+    ASCII and as a copy whose sentences are sometimes quoted with “ ” and
+    whose words sometimes take a ’s."""
+    rng = np.random.default_rng(seed)
+    words = np.array([f"w{i}ord" for i in range(3000)], dtype=object)
+    ascii_sentences, curly_sentences = [], []
+    for length in rng.integers(6, 13, size=n_sentences):
+        picked = list(words[rng.integers(len(words), size=int(length))])
+        ascii_sentences.append(" ".join(picked) + ".")
+        possessive = rng.random(len(picked)) < 0.1
+        curly = " ".join(w + "’s" if p else w for w, p in zip(picked, possessive)) + "."
+        curly_sentences.append(f"“{curly}”" if rng.random() < 0.3 else curly)
+    return " ".join(ascii_sentences) + "\n", " ".join(curly_sentences) + "\n"
+
+
+def write_books(root: Path, n_books: int, n_sentences: int, seed: int) -> dict[str, list]:
+    """The ASCII and the curly-quote books as records, each set in its own
+    directory."""
+    sets: dict[str, list] = {"ascii": [], "curly": []}
+    for i in range(n_books):
+        for name, text in zip(sets, book_texts(seed + i, n_sentences)):
+            path = root / name / f"book{i}.txt"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            sets[name].append(
+                BookRecord(f"{name}{i}", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, path)
+            )
+    return sets
+
+
+def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, float]:
+    """Median seconds per stage over ``repeats`` passes over all records."""
+    seconds: dict[str, list[float]] = {"segment+tokenize": [], "counts": [], "hashed-512": []}
+    for _ in range(repeats):
+        totals = dict.fromkeys(seconds, 0.0)
+        for record in records:
+            t0 = time.perf_counter()
+            tokens = section_tokens(record, section)
+            t1 = time.perf_counter()
+            counts_from_sentences(tokens)
+            t2 = time.perf_counter()
+            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=50)
+            t3 = time.perf_counter()
+            for stage, dt in zip(totals, (t1 - t0, t2 - t1, t3 - t2)):
+                totals[stage] += dt
+        for stage, total in totals.items():
+            seconds[stage].append(total)
+    return {stage: statistics.median(values) for stage, values in seconds.items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tiny", action="store_true", help="small books, one pass")
+    args = parser.parse_args(argv)
+    n_books, n_sentences, repeats = (2, 300, 1) if args.tiny else (4, 14_000, 5)
+    print(f"# {n_books} books of {n_sentences} sentences, seed {SEED}, median of {repeats}")
+    print("set    section     stage             seconds     MB/s")
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = write_books(Path(tmp), n_books, n_sentences, SEED)
+        for name, records in sets.items():
+            mb = sum(r.text_path.stat().st_size for r in records) / MB
+            for section in ("full", "first:1000"):
+                stages = time_stages(records, SectionSpec.parse(section), repeats)
+                for stage, seconds in stages.items():
+                    rate = mb / seconds if seconds else float("inf")
+                    print(f"{name:6} {section:11} {stage:16} {seconds:8.4f} {rate:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
