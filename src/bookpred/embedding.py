@@ -7,7 +7,8 @@ the whole vocabulary at once with one array FNV step per UTF-8 byte
 column, and adds the signed one-hot entries of a run of sentences into
 its rows with a single scatter. Asked for chunk averages, it encodes a
 block of whole chunks at a time, so the full sentence matrix of a long
-book is never built.
+book is never built. For the tokens of several books it hashes their
+shared vocabulary once and writes each book's chunk averages.
 
 Chunk means are taken with reshaped reductions, not one ``mean`` per
 chunk: balanced chunk sizes take at most two values, larger first, so
@@ -167,6 +168,8 @@ def encode_hashed_bow(
     dim: int,
     seed: int = 0,
     n_chunks: int | None = None,
+    books: list[int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Signed feature-hashing bag-of-words encoder.
 
@@ -175,13 +178,15 @@ def encode_hashed_bow(
     token vectors, L2-normalized (an all-zero vector stays zero).
     Deterministic for a fixed seed. ``sentences`` is a list of sentence
     texts or their ``Tokens``. Returns an (n_sentences, dim) array, or
-    with ``n_chunks`` exactly ``chunk_average`` of that array.
+    with ``n_chunks`` exactly ``chunk_average`` of that array; with
+    ``books`` too, the sentence counts of consecutive books, each book's
+    in a (len(books), n_chunks, dim) array (the C-contiguous ``out``).
 
     Rows hold small integers until the division, so the order in which
     the single ``np.add.at`` scatter adds the signs cannot change them.
-    The chunked path encodes whole chunks a block at a time and averages
-    the block's chunks with the helper ``chunk_average`` uses, which sums
-    the same rows in the same order.
+    The chunked path encodes whole chunks, of one or more books, a block
+    at a time and averages the block's chunks with the helper
+    ``chunk_average`` uses, which sums the same rows in the same order.
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
@@ -192,10 +197,12 @@ def encode_hashed_bow(
     if n_chunks is None:
         return _encode_rows(tokens.ids, tokens.lengths, buckets, signs, dim)
 
-    sizes = chunk_sizes(len(tokens), n_chunks)
+    counts = [len(tokens)] if books is None else books
+    sizes = [size for n in counts for size in chunk_sizes(n, n_chunks)]
     row_starts = np.concatenate(([0], np.cumsum(sizes)))
     word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
-    out = np.zeros((n_chunks, dim))
+    out = np.zeros((len(counts), n_chunks, dim)) if out is None else out
+    chunks = out.reshape(len(sizes), dim)  # a view of ``out``
     for first, stop in _chunk_blocks(sizes):
         r0, r1 = row_starts[first], row_starts[stop]
         block = _encode_rows(
@@ -205,9 +212,9 @@ def encode_hashed_bow(
             signs,
             dim,
         )
-        out[first:stop] = _chunk_means(block, sizes[first:stop])
+        chunks[first:stop] = _chunk_means(block, sizes[first:stop])
         del block  # free it before the next block is encoded
-    return out
+    return out[0] if books is None else out
 
 
 def write_atomically(path: str | Path, parts: list[bytes]) -> None:

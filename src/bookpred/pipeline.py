@@ -6,6 +6,10 @@ One frozen ``TrainConfig`` tree configures a run: the training loop's
 own settings, the book section, an ``EncoderConfig`` and a
 ``net.ModelConfig``. Its field defaults are the only place each default
 is written; the CLI derives its ``key=value`` keys from the same fields.
+
+``featurize_corpus`` cuts each book to its section alone, then tokenizes,
+hashes and counts a block of books at once; ``featurize_book`` is a block
+of one book.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import Tokens, counts_from_sentences, split_sentences
+from .textstats import Sentences, Tokens, counts_from_sentences, split_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -64,6 +68,9 @@ __all__ = [
     "feature_meta",
     "config_from_feature_meta",
 ]
+
+_BLOCK_BOOKS = 32  # most books featurized in one text pass
+_BLOCK_BYTES = 1 << 18  # a block closes once its books hold more text bytes
 
 
 class FeaturizationError(RuntimeError):
@@ -115,11 +122,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
-    """The configured section of one book, tokenized once: the text is
-    read once, and ``first:K`` segments only a prefix that holds the
-    first K sentences. A section without sentences is a
-    ``FeaturizationError``."""
+def _read_section(record: BookRecord, section: SectionSpec) -> Sentences:
+    """The configured section of one book, segmenting for ``first:K`` only a
+    prefix that holds K sentences; none is a ``FeaturizationError``."""
     try:
         text = record.text_path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -130,16 +135,19 @@ def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
         ) from exc
     first = section.k if section.kind == "first" else None
     sentences = select_section(split_sentences(text, first), section)
-    del text  # the sentences hold its UTF-8 bytes; tokenizing needs only those
-    tokens = sentences.tokens()
-    if not tokens:
+    if not len(sentences):
         raise FeaturizationError(f"book {record.book_id}: no sentences")
-    return tokens
+    return sentences
+
+
+def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
+    """The configured section of one book, tokenized once."""
+    return _read_section(record, section).tokens()
 
 
 def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
     """The configured section's rows of one book's .semb matrix, whose dim
-    must be ``cfg.model.input_dim`` once a checkpoint has set it."""
+    must be ``cfg.model.input_dim`` once a checkpoint or training sets it."""
     semb_path = cfg.encoder.directory / f"{record.book_id}.semb"
     try:
         matrix = load_embeddings(semb_path)
@@ -150,7 +158,7 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
     if cfg.model.input_dim and matrix.shape[1] != cfg.model.input_dim:
         raise FeaturizationError(
             f"book {record.book_id}: {semb_path} has dim {matrix.shape[1]}, "
-            f"checkpoint expects input_dim={cfg.model.input_dim}"
+            f"the model expects input_dim={cfg.model.input_dim}"
         )
     return matrix[cfg.section.as_slice()]
 
@@ -158,55 +166,72 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
 def featurize_book(
     record: BookRecord, cfg: TrainConfig, need_readability: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Model inputs for one book: the section's ``cfg.model.n_chunks``
-    chunk averages (the one averaged vector for book2vec, whose config
-    fixes one chunk) plus its (5,) raw readability scores.
+    """Model inputs for one book: ``featurize_corpus`` of that book alone."""
+    x, readability = featurize_corpus((record,), cfg, need_readability)
+    return x[0], None if readability is None else readability[0]
 
-    With the hashed encoder the section is tokenized once: the encoder
-    and the readability counts share those ``Tokens``, and the chunk
-    averages are built block by block, never the full matrix."""
-    tokens = None
+
+def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
+    """Write the hashed ``x`` rows and the ``readability`` rows of ``block``,
+    consecutive (corpus index, record, section) triples, from one
+    tokenization, and empty it; the first book without scores raises."""
+    if not block:
+        return
+    indices, records, parts = zip(*block)
+    block.clear()
+    tokens = Sentences.join(parts).tokens()
+    books = [len(part) for part in parts]
     if cfg.encoder.kind == "hashed":
-        tokens = section_tokens(record, cfg.section)
-        x = encode_hashed_bow(
-            tokens, dim=cfg.encoder.dim, seed=cfg.encoder.seed, n_chunks=cfg.model.n_chunks
-        )
-    else:
-        x = chunk_average(_section_matrix(record, cfg), cfg.model.n_chunks)
-    if cfg.model.arch == "book2vec":
-        x = x[0]
-    readability = None
-    if need_readability:
-        if tokens is None:
-            tokens = section_tokens(record, cfg.section)
-        try:
-            readability = readability_vector(counts_from_sentences(tokens))
-        except ValueError as exc:
-            raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
-    return x, readability
+        enc, rows = cfg.encoder, x[indices[0] : indices[-1] + 1]
+        encode_hashed_bow(tokens, enc.dim, enc.seed, cfg.model.n_chunks, books, rows)
+    if readability is not None:
+        for i, record, counts in zip(indices, records, counts_from_sentences(tokens, books)):
+            try:
+                readability[i] = readability_vector(counts)
+            except ValueError as exc:
+                raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
 
 
 def featurize_corpus(
     corpus: CorpusSet, cfg: TrainConfig, need_readability: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Model inputs for every book, in corpus order: one preallocated
-    (N, n_chunks, dim) array ((N, dim) for book2vec), filled book by book,
-    plus the (N, 5) raw readability scores when asked for."""
-    x = np.zeros((0,))
+    (N, n_chunks, dim) array of the sections' chunk averages ((N, dim) for
+    book2vec, whose config fixes one chunk), plus the (N, 5) raw
+    readability scores when asked for; an external encoder without them
+    reads no text. Texts go in blocks of at most ``_BLOCK_BOOKS`` books that
+    close once past ``_BLOCK_BYTES`` text bytes, so a long book ends its
+    block. A book-by-book pass would raise the same first error."""
+    hashed = cfg.encoder.kind == "hashed"
+    n_chunks = cfg.model.n_chunks
+    x = np.empty((len(corpus), n_chunks, cfg.encoder.dim)) if hashed and corpus else None
     readability = np.empty((len(corpus), net.N_READABILITY)) if need_readability else None
-    for i, record in enumerate(corpus):
-        book_x, book_readability = featurize_book(record, cfg, need_readability)
-        if i == 0:
-            x = np.empty((len(corpus),) + book_x.shape)
-        elif book_x.shape != x.shape[1:]:
-            dims = sorted({x.shape[-1], book_x.shape[-1]})
-            raise FeaturizationError(
-                f"book {record.book_id}: inconsistent embedding dims across corpus: {dims}"
-            )
-        x[i] = book_x
-        if readability is not None:
-            readability[i] = book_readability
-    return x, readability
+    block: list[tuple[int, BookRecord, Sentences]] = []
+    try:
+        for i, record in enumerate(corpus):
+            means = None if hashed else chunk_average(_section_matrix(record, cfg), n_chunks)
+            if hashed or need_readability:
+                block.append((i, record, _read_section(record, cfg.section)))
+                held = sum(len(part.data) for _, _, part in block)
+                if len(block) == _BLOCK_BOOKS or held > _BLOCK_BYTES:
+                    _featurize_block(block, cfg, x, readability)
+            if means is not None:
+                if x is None:
+                    x = np.empty((len(corpus),) + means.shape)
+                elif means.shape != x.shape[1:]:
+                    dims = sorted({x.shape[-1], means.shape[-1]})
+                    raise FeaturizationError(
+                        f"book {record.book_id}: inconsistent embedding dims across "
+                        f"corpus: {dims}"
+                    )
+                x[i] = means
+    except FeaturizationError:
+        _featurize_block(block, cfg, x, readability)  # an earlier book's error comes first
+        raise
+    _featurize_block(block, cfg, x, readability)
+    if x is None:
+        return np.zeros((0,)), readability
+    return (x[:, 0] if cfg.model.arch == "book2vec" else x), readability
 
 
 @dataclass(frozen=True)
@@ -251,7 +276,8 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
 
     use_readability = cfg.model.use_readability
     x_train, raw_train = featurize_corpus(train_set, cfg, need_readability=use_readability)
-    x_val, raw_val = featurize_corpus(val_set, cfg, need_readability=use_readability)
+    model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
+    x_val, raw_val = featurize_corpus(val_set, replace(cfg, model=model_cfg), use_readability)
 
     scaler = fit_scaler(raw_train) if use_readability else None
     r_train = apply_scaler(scaler, raw_train) if use_readability else None
@@ -260,8 +286,6 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
         (x_val[b], None if r_val is None else r_val[b])
         for b in _blocks(len(val_set), cfg.batch_size)
     ]
-
-    model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss, dropout_ss = root.spawn(3)

@@ -15,21 +15,22 @@ readability scores are reproducible byte for byte. The rules are fixed:
 
 One array kernel applies the first two rules; featurizing a section
 runs no Python loop per sentence or word. ``split_sentences`` classifies
-each UTF-8 byte once, ASCII by table and each multi-byte character by
-its ``str`` class, asked once per distinct character. Masks give the
-boundaries; the abbreviation list is checked only for a short token
-before a lone ``.``. ``Sentences.tokens`` takes words as maximal runs of
-"letter or digit, or a separator between two", numbers them in a
-first-sight vocabulary and counts each sentence's words by
-``searchsorted``. ``tokenize_words`` is the one-sentence regex the
-kernel must agree with.
+each UTF-8 byte once: an all-ASCII text by one table lookup, otherwise
+each multi-byte character by its ``str`` class, asked once per distinct
+character. Masks give the boundaries; the abbreviation list is checked
+only for a short token before a lone ``.``. ``Sentences.tokens`` takes
+words as maximal runs of "letter or digit, or a separator between two",
+numbers them in a first-sight vocabulary and counts each sentence's
+words by ``searchsorted``; after ``Sentences.join`` one pass tokenizes
+a block of books, whose counts share the vocabulary. ``tokenize_words``
+is the one-sentence regex the kernel must agree with.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,8 +107,12 @@ def _ends_with_abbreviation(chunk: str) -> bool:
 
 def _classify(data: bytes) -> np.ndarray:
     """The class of every byte of the UTF-8 ``data``: an ASCII byte's by
-    table, and a multi-byte character's computed once per distinct one."""
-    classes = np.frombuffer(data.translate(_ASCII_CLASSES), np.uint8).copy()
+    table (all-ASCII data gets the read-only table classes), and a
+    multi-byte character's computed once per distinct one."""
+    table = np.frombuffer(data.translate(_ASCII_CLASSES), np.uint8)
+    if data.isascii():
+        return table
+    classes = table.copy()
     codes = np.frombuffer(data, np.uint8)
     leads = np.flatnonzero(codes >= 0xC0)
     width = 2 + (codes[leads] >= 0xE0) + (codes[leads] >= 0xF0)
@@ -202,6 +207,21 @@ class Sentences:
     def __getitem__(self, rows: slice) -> Sentences:
         return replace(self, starts=self.starts[rows], ends=self.ends[rows])
 
+    @classmethod
+    def join(cls, parts: Sequence[Sentences]) -> Sentences:
+        """The sentences of ``parts``, none empty, in one value: each part's
+        bytes from its first sentence's start to its last one's end, then a
+        space of class ``_SPACE``, which no word crosses. One part is kept."""
+        if len(parts) == 1:
+            return parts[0]
+        cuts = [(part, int(part.starts[0]), int(part.ends[-1])) for part in parts]
+        offsets = np.cumsum([0] + [hi - lo + 1 for _, lo, hi in cuts]).tolist()
+        data = b"".join(part.data[lo:hi] + b" " for part, lo, hi in cuts)
+        classes = b"".join(p.classes[lo:hi].tobytes() + bytes([_SPACE]) for p, lo, hi in cuts)
+        starts = np.concatenate([p.starts + (at - lo) for (p, lo, _), at in zip(cuts, offsets)])
+        ends = np.concatenate([p.ends + (at - lo) for (p, lo, _), at in zip(cuts, offsets)])
+        return cls(data, np.frombuffer(classes, np.uint8), starts, ends)
+
     def spans(self) -> list[str]:
         """Each sentence's raw span, whitespace included."""
         bounds = zip(self.starts.tolist(), self.ends.tolist())
@@ -295,34 +315,33 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def counts_from_sentences(tokens: Tokens) -> TextCounts:
-    """Aggregate counts over tokenized sentences.
+def counts_from_sentences(
+    tokens: Tokens, books: Sequence[int] | None = None
+) -> TextCounts | list[TextCounts]:
+    """Aggregate counts over tokenized sentences, or with ``books``, the
+    sentence counts of consecutive books, one ``TextCounts`` per book.
 
     Characters are letters and digits inside words only; punctuation,
     whitespace, and in-word apostrophes/hyphens are excluded. A word is
     letters and digits joined by those separators, so its character
     count is its length less its separators. Polysyllables are words of
     three or more syllables. Characters and syllables are computed once
-    per distinct token and weighted by its frequency, which one
-    ``bincount`` over the ids gives.
+    per distinct token of the shared vocabulary, and each book's counts
+    weight them by one ``bincount`` of its word ids.
     """
-    frequency = np.bincount(tokens.ids, minlength=len(tokens.vocab)).tolist()
-    characters = 0
-    syllables = 0
-    polysyllables = 0
-    for token, n in zip(tokens.vocab, frequency):
-        characters += n * (len(token) - token.count("'") - token.count("’") - token.count("-"))
-        syl = count_syllables(token)
-        syllables += n * syl
-        if syl >= 3:
-            polysyllables += n
-    return TextCounts(
-        words=len(tokens.ids),
-        characters=characters,
-        sentences=len(tokens),
-        syllables=syllables,
-        polysyllables=polysyllables,
-    )
+    vocab = tokens.vocab
+    characters = [len(t.replace("'", "").replace("’", "").replace("-", "")) for t in vocab]
+    syllables = np.array(list(map(count_syllables, vocab)), np.int64)
+    per_token = np.array([characters, syllables, syllables >= 3], np.int64).T
+    sentences = [len(tokens)] if books is None else list(books)
+    word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
+    bounds = word_starts[np.concatenate(([0], np.cumsum(sentences)))].tolist()
+    counts = []
+    for n, start, stop in zip(sentences, bounds, bounds[1:]):
+        frequency = np.bincount(tokens.ids[start:stop], minlength=len(per_token))
+        characters, syllables, polysyllables = (frequency @ per_token).tolist()
+        counts.append(TextCounts(stop - start, characters, n, syllables, polysyllables))
+    return counts[0] if books is None else counts
 
 
 def compute_counts(text: str) -> TextCounts:

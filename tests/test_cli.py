@@ -11,7 +11,7 @@ import pytest
 import text_reference as ref
 from bookpred import synth
 from bookpred.cli import _READABILITY_HEADER, _counts_row, build_parser, main
-from bookpred.corpus import SectionSpec, select_section
+from bookpred.corpus import SectionSpec, load_corpus, select_section, split_train_val
 from bookpred.embedding import write_embeddings
 
 
@@ -536,7 +536,24 @@ class TestExternalEncoderEval:
         )
         assert code == 1
         assert f"{tmp_path / 'semb8' / 'book0000.semb'} has dim 8" in err
-        assert "checkpoint expects input_dim=16" in err
+        assert "the model expects input_dim=16" in err
+
+    def test_validation_books_of_another_dim_exit_one(self, tmp_path, capsys):
+        manifest = synth.make_readability_corpus(
+            tmp_path, n_books=10, seed=5, embedding_dim=16, sentences_per_book=(5, 8)
+        )
+        _, val_set = split_train_val(load_corpus(manifest), 0.2, 0)
+        assert len(val_set) == 2
+        for record in val_set:
+            write_embeddings(np.ones((6, 8)), tmp_path / "semb" / f"{record.book_id}.semb")
+        code, _, err = run(
+            capsys, "train", "--manifest", str(manifest), "--out", str(tmp_path / "m.bpmd"),
+            "--semb-dir", str(tmp_path / "semb"), "--seed", "0", "--set", "epochs=1",
+        )
+        assert code == 1
+        first = val_set[0].book_id
+        assert f"book {first}: {tmp_path / 'semb' / first}.semb has dim 8" in err
+        assert "the model expects input_dim=16" in err
 
 
 class TestMalformedCsv:

@@ -331,14 +331,20 @@ class TestOneTokenizationPerBook:
         tokens = textstats.Sentences.tokens
 
         def counting(sentences):
-            calls.append(len(sentences))
+            calls.append(sentences.spans())
             return tokens(sentences)
 
         monkeypatch.setattr(textstats.Sentences, "tokens", counting)
         monkeypatch.setattr(textstats, "tokenize_sentences", None)
         monkeypatch.setattr(embedding, "tokenize_sentences", None)
         pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
-        assert calls == [17] * len(tiny_corpus)
+        # One block of all 24 books, which holds each book's section once.
+        assert [len(spans) for spans in calls] == [17 * len(tiny_corpus)]
+        sections = [
+            textstats.split_sentences(record.text_path.read_text(encoding="utf-8"))[-17:]
+            for record in tiny_corpus
+        ]
+        assert calls[0] == [span for section in sections for span in section.spans()]
 
     def test_chunk_averages_never_build_the_sentence_matrix(self, tmp_path):
         rng = np.random.default_rng(4)

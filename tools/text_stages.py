@@ -1,4 +1,4 @@
-"""Time the three text stages of featurization on seeded long books.
+"""Time the text stages of featurization on seeded long and short books.
 
     python tools/text_stages.py [--tiny]
 
@@ -13,12 +13,22 @@ times, through the public API only:
 * ``hashed-512``: ``embedding.encode_hashed_bow`` at dim 512 and 50 chunks,
   as the default CNN featurizes.
 
+A third set, ``short``, holds 64 seeded books of 60-100 sentences, the
+size where fixed per-call costs dominate. It is featurized at
+``first:1000`` with the hashed encoder (dim 512, 50 chunks) and
+readability, as ``eval`` featurizes a batch:
+
+* ``featurize-corpus``: ``pipeline.featurize_corpus`` on all 64 books,
+  which tokenizes, hashes and counts a block of up to 32 books at once;
+* ``featurize-book``: ``pipeline.featurize_book`` on each book in turn,
+  one book per block, which pays those costs once per book.
+
 Each line gives the median over five passes of the seconds a stage takes
 for all books of a set, and MB/s, where MB is the size of the book files
 (at ``first:1000`` too, so there the rate shows how little of each book is
 read). The books are seeded (seed 5), four of 14,000 sentences each, about
-1.1 MB. ``--tiny`` uses two books of 300 sentences and one pass, as a quick
-check that the stages run.
+1.1 MB. ``--tiny`` uses two books of 300 sentences, four short books and
+one pass, as a quick check that the stages run.
 """
 
 from __future__ import annotations
@@ -37,7 +47,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel  # noqa: E402
 from bookpred.embedding import encode_hashed_bow  # noqa: E402
-from bookpred.pipeline import section_tokens  # noqa: E402
+from bookpred.pipeline import (  # noqa: E402
+    EncoderConfig,
+    TrainConfig,
+    featurize_book,
+    featurize_corpus,
+    section_tokens,
+)
 from bookpred.textstats import counts_from_sentences  # noqa: E402
 
 MB = 1e6
@@ -60,19 +76,29 @@ def book_texts(seed: int, n_sentences: int) -> tuple[str, str]:
     return " ".join(ascii_sentences) + "\n", " ".join(curly_sentences) + "\n"
 
 
+def _record(root: Path, name: str, i: int, text: str) -> BookRecord:
+    path = root / name / f"book{i}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return BookRecord(f"{name}{i}", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, path)
+
+
 def write_books(root: Path, n_books: int, n_sentences: int, seed: int) -> dict[str, list]:
     """The ASCII and the curly-quote books as records, each set in its own
     directory."""
     sets: dict[str, list] = {"ascii": [], "curly": []}
     for i in range(n_books):
         for name, text in zip(sets, book_texts(seed + i, n_sentences)):
-            path = root / name / f"book{i}.txt"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-            sets[name].append(
-                BookRecord(f"{name}{i}", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, path)
-            )
+            sets[name].append(_record(root, name, i, text))
     return sets
+
+
+def write_short_books(root: Path, n_books: int, seed: int) -> list:
+    """``n_books`` ASCII books of 60-100 sentences each, as records."""
+    sizes = np.random.default_rng(seed).integers(60, 101, size=n_books)
+    return [
+        _record(root, "short", i, book_texts(seed + i, int(n))[0]) for i, n in enumerate(sizes)
+    ]
 
 
 def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, float]:
@@ -95,12 +121,38 @@ def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, 
     return {stage: statistics.median(values) for stage, values in seconds.items()}
 
 
+def time_short_books(records: list, repeats: int) -> dict[str, float]:
+    """Median seconds over ``repeats`` passes to featurize ``records`` as
+    one corpus and one book at a time, at ``first:1000`` with the hashed
+    encoder and readability."""
+    cfg = TrainConfig(section=SectionSpec("first", 1000), encoder=EncoderConfig(dim=512))
+    stages = {
+        "featurize-corpus": lambda: featurize_corpus(records, cfg),
+        "featurize-book": lambda: [featurize_book(record, cfg) for record in records],
+    }
+    seconds: dict[str, list[float]] = {stage: [] for stage in stages}
+    for _ in range(repeats):
+        for stage, run in stages.items():
+            t0 = time.perf_counter()
+            run()
+            seconds[stage].append(time.perf_counter() - t0)
+    return {stage: statistics.median(values) for stage, values in seconds.items()}
+
+
+def _print_line(name: str, section: str, stage: str, seconds: float, mb: float) -> None:
+    rate = mb / seconds if seconds else float("inf")
+    print(f"{name:6} {section:11} {stage:16} {seconds:8.4f} {rate:8.2f}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="small books, one pass")
     args = parser.parse_args(argv)
-    n_books, n_sentences, repeats = (2, 300, 1) if args.tiny else (4, 14_000, 5)
-    print(f"# {n_books} books of {n_sentences} sentences, seed {SEED}, median of {repeats}")
+    n_books, n_sentences, n_short, repeats = (2, 300, 4, 1) if args.tiny else (4, 14_000, 64, 5)
+    print(
+        f"# {n_books} books of {n_sentences} sentences and {n_short} short books, "
+        f"seed {SEED}, median of {repeats}"
+    )
     print("set    section     stage             seconds     MB/s")
     with tempfile.TemporaryDirectory() as tmp:
         sets = write_books(Path(tmp), n_books, n_sentences, SEED)
@@ -109,8 +161,11 @@ def main(argv: list[str] | None = None) -> int:
             for section in ("full", "first:1000"):
                 stages = time_stages(records, SectionSpec.parse(section), repeats)
                 for stage, seconds in stages.items():
-                    rate = mb / seconds if seconds else float("inf")
-                    print(f"{name:6} {section:11} {stage:16} {seconds:8.4f} {rate:8.2f}")
+                    _print_line(name, section, stage, seconds, mb)
+        short = write_short_books(Path(tmp), n_short, SEED)
+        mb = sum(r.text_path.stat().st_size for r in short) / MB
+        for stage, seconds in time_short_books(short, repeats).items():
+            _print_line("short", "first:1000", stage, seconds, mb)
     return 0
 
 
