@@ -4,17 +4,22 @@ file format for externally computed vectors, and chunk averaging.
 The hashed encoder reads a ``textstats.Tokens`` (the sentences
 tokenized once, each word an id in a first-sight vocabulary), hashes
 the whole vocabulary at once with one array FNV step per UTF-8 byte
-column, and adds the signed one-hot entries of a run of sentences into
-its rows with a single scatter. Asked for chunk averages, it encodes a
-block of whole chunks at a time, so the full sentence matrix of a long
-book is never built. For the tokens of several books it hashes their
-shared vocabulary once and writes each book's chunk averages.
+column, and builds no dense sentence row: each word becomes a (sentence,
+bucket) key, one sort groups equal keys, their signs add up to one
+integer entry per pair, and each sentence's norm comes from its entries.
+Sentence rows are the entries scattered into a zeroed matrix. Chunk
+averages, of one book or of several sharing a vocabulary, are the
+entries over their sentence's norm, added into their chunk's sums by
+one scatter, then divided by the chunk sizes.
 
-Chunk means are taken with reshaped reductions, not one ``mean`` per
-chunk: balanced chunk sizes take at most two values, larger first, so
-each run of equal sizes is one ``(count, size, dim)`` view averaged
-over its middle axis. That adds the same rows in the same order as a
-per-chunk mean, so the bits do not change.
+The bits match ``chunk_average`` of the full matrix. Entries and norms
+are exact integers and correctly rounded roots, so entry / norm is the
+dense row's element. The scatter adds in key order, sentence by
+sentence, as ``chunk_average`` sums a chunk's rows: it averages a run of
+equal chunk sizes (balanced sizes take at most two values) as one
+``(count, size, dim)`` view over the middle axis, which adds row after
+row, as a per-chunk mean does. A zero only the dense row adds changes
+no sum.
 
 SEMB layout (little-endian):
 
@@ -63,10 +68,6 @@ _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
 
-# Most sentence rows the chunked encoder holds at once (4 MB at dim 512);
-# a chunk with more rows than this is encoded as a block of its own.
-_BLOCK_ROWS = 1024
-
 
 class SembError(Exception):
     """Base class for SEMB file problems."""
@@ -101,49 +102,28 @@ def _hash64(token: str, seed: int) -> int:
 def _hash_vocab(vocab: list[str], seed: int) -> np.ndarray:
     """``_hash64(token.lower(), seed)`` of every token, as a uint64 array.
 
-    The UTF-8 bytes of the tokens fill a zero-padded (V, max_len) matrix,
-    and one FNV step per byte column updates the hashes of the tokens
-    that are still that long; uint64 array products wrap silently."""
+    The tokens' UTF-8 bytes are joined, shortest token first, into one
+    flat array, so memory grows with the total bytes, not with vocabulary
+    size times the longest token. The tokens longer than ``j`` bytes are
+    then a suffix, and one FNV step per byte column ``j`` updates their
+    hashes; uint64 array products wrap silently."""
     encoded = [token.lower().encode("utf-8") for token in vocab]
     lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    width = int(lengths.max()) if len(encoded) else 0
-    live = np.arange(width) < lengths[:, None]
-    columns = np.zeros((len(encoded), width), dtype=np.uint64)
-    columns[live] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    flat = np.frombuffer(b"".join([encoded[i] for i in order.tolist()]), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
     start = (_FNV_OFFSET ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
     h = np.full(len(encoded), start, dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
-    for j in range(width):
-        np.copyto(h, (h ^ columns[:, j]) * prime, where=live[:, j])
-    return h
-
-
-def _encode_rows(
-    ids: np.ndarray, lengths: np.ndarray, buckets: np.ndarray, signs: np.ndarray, dim: int
-) -> np.ndarray:
-    """L2-normalized hashed rows of consecutive sentences: ``lengths``
-    words each, whose vocab ids are ``ids`` in reading order."""
-    n = len(lengths)
-    flat = np.repeat(np.arange(n, dtype=np.intp) * dim, lengths)
-    flat += buckets[ids]
-    out = np.zeros((n, dim))
-    np.add.at(out.reshape(-1), flat, signs[ids])
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    norms[norms == 0.0] = 1.0
-    out /= norms[:, None]
-    return out
-
-
-def _chunk_blocks(sizes: list[int]):
-    """(first, stop) ranges of consecutive whole chunks holding at most
-    ``_BLOCK_ROWS`` rows together; a larger chunk is a range of its own."""
-    first = rows = 0
-    for i, size in enumerate(sizes):
-        if rows and rows + size > _BLOCK_ROWS:
-            yield first, i
-            first, rows = i, 0
-        rows += size
-    yield first, len(sizes)
+    width = int(lengths[-1]) if len(encoded) else 0
+    for j, first in enumerate(np.searchsorted(lengths, np.arange(width), side="right").tolist()):
+        longer = h[first:]  # a view: the tokens of more than j bytes
+        longer ^= flat[starts[first:] + j]
+        longer *= prime
+    hashes = np.empty_like(h)
+    hashes[order] = h
+    return hashes
 
 
 def _chunk_means(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
@@ -179,41 +159,52 @@ def encode_hashed_bow(
     Deterministic for a fixed seed. ``sentences`` is a list of sentence
     texts or their ``Tokens``. Returns an (n_sentences, dim) array, or
     with ``n_chunks`` exactly ``chunk_average`` of that array; with
-    ``books`` too, the sentence counts of consecutive books, each book's
-    in a (len(books), n_chunks, dim) array (the C-contiguous ``out``).
+    ``books`` too, the sentence counts of consecutive books, which must
+    add up to the sentences, each book's in a (len(books), n_chunks, dim)
+    array (``out`` if given, which must be C-contiguous of that shape).
 
-    Rows hold small integers until the division, so the order in which
-    the single ``np.add.at`` scatter adds the signs cannot change them.
-    The chunked path encodes whole chunks, of one or more books, a block
-    at a time and averages the block's chunks with the helper
-    ``chunk_average`` uses, which sums the same rows in the same order.
+    No dense sentence row is built. A word's key is its (sentence,
+    bucket) pair and its sign; sorted, the signs of one pair add up to an
+    integer entry, and a sentence's norm is the root of its entries'
+    squares, both exact. The chunk sums are one ``np.add.at`` of
+    entry / norm, which adds in key order, sentence by sentence, as
+    ``chunk_average`` adds the rows, so the bits agree.
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
     tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
+    counts = tokens.books(books)
+    n = len(tokens)
     hashes = _hash_vocab(tokens.vocab, seed)
-    buckets = ((hashes >> 1) % dim).astype(np.intp)
-    signs = np.where(hashes & 1, -1.0, 1.0)
+    # A word's key is its pair, sentence * dim + bucket, times 2, plus 1 for
+    # a sign of -1; sorted, each pair's words are one run.
+    keys = np.repeat(np.arange(0, 2 * dim * n, 2 * dim), tokens.lengths)
+    keys += ((((hashes >> 1) % dim) << 1) | (hashes & 1)).astype(np.intp)[tokens.ids]
+    keys.sort()
+    repeat = np.zeros(len(keys), bool)  # the word before is in the same pair
+    np.equal(keys[1:] >> 1, keys[:-1] >> 1, out=repeat[1:])
+    firsts, later = np.flatnonzero(~repeat), np.flatnonzero(repeat)
+    pairs, entries = keys[firsts] >> 1, 1.0 - 2.0 * (keys[firsts] & 1)
+    np.add.at(entries, np.searchsorted(firsts, later) - 1, 1.0 - 2.0 * (keys[later] & 1))
+    rows = pairs // dim
+    norms = np.sqrt(np.bincount(rows, entries * entries, minlength=n))
+    norms[norms == 0.0] = 1.0
+    entries /= norms[rows]
     if n_chunks is None:
-        return _encode_rows(tokens.ids, tokens.lengths, buckets, signs, dim)
+        matrix = np.zeros((n, dim))
+        matrix.reshape(-1)[pairs] = entries
+        return matrix
 
-    counts = [len(tokens)] if books is None else books
-    sizes = [size for n in counts for size in chunk_sizes(n, n_chunks)]
-    row_starts = np.concatenate(([0], np.cumsum(sizes)))
-    word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
-    out = np.zeros((len(counts), n_chunks, dim)) if out is None else out
-    chunks = out.reshape(len(sizes), dim)  # a view of ``out``
-    for first, stop in _chunk_blocks(sizes):
-        r0, r1 = row_starts[first], row_starts[stop]
-        block = _encode_rows(
-            tokens.ids[word_starts[r0] : word_starts[r1]],
-            tokens.lengths[r0:r1],
-            buckets,
-            signs,
-            dim,
-        )
-        chunks[first:stop] = _chunk_means(block, sizes[first:stop])
-        del block  # free it before the next block is encoded
+    sizes = np.array([size for count in counts for size in chunk_sizes(count, n_chunks)])
+    shape = (len(counts), n_chunks, dim)
+    if out is not None and (out.shape != shape or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
+    # A pair's slot, chunk * dim + bucket, is the pair shifted by its row's offset.
+    offsets = (np.repeat(np.arange(len(sizes)), sizes) - np.arange(n)) * dim
+    out = np.empty(shape) if out is None else out
+    out[...] = 0.0
+    np.add.at(out.reshape(-1), pairs + offsets[rows], entries)
+    out /= np.maximum(sizes, 1).reshape(shape[:2] + (1,))
     return out[0] if books is None else out
 
 

@@ -181,6 +181,14 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.lengths)
 
+    def books(self, sizes: Sequence[int] | None = None) -> list[int]:
+        """``sizes``, the sentence counts of consecutive books, as a list, or
+        all the sentences as one book; none negative, they add up to ``len(self)``."""
+        sizes = [len(self)] if sizes is None else list(sizes)
+        if sum(sizes) != len(self) or min(sizes, default=0) < 0:
+            raise ValueError(f"books hold {sum(sizes)} sentences {sizes}, the tokens {len(self)}")
+        return sizes
+
 
 class _Vocabulary(dict):
     """Token -> id, numbering each new token in order of first sight."""
@@ -333,7 +341,7 @@ def counts_from_sentences(
     characters = [len(t.replace("'", "").replace("’", "").replace("-", "")) for t in vocab]
     syllables = np.array(list(map(count_syllables, vocab)), np.int64)
     per_token = np.array([characters, syllables, syllables >= 3], np.int64).T
-    sentences = [len(tokens)] if books is None else list(books)
+    sentences = tokens.books(books)
     word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
     bounds = word_starts[np.concatenate(([0], np.cumsum(sentences)))].tolist()
     counts = []

@@ -1,4 +1,6 @@
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from bookpred.embedding import (
     load_embeddings,
     write_embeddings,
 )
+from bookpred.textstats import tokenize_sentences
 
 
 class TestHashedBow:
@@ -68,6 +71,18 @@ class TestHashedBow:
     def test_dim_lower_bound(self):
         with pytest.raises(ValueError):
             encode_hashed_bow(["x"], dim=4)
+
+    def test_out_not_c_contiguous_rejected(self):
+        out = np.zeros((2, 8, 3)).transpose(0, 2, 1)  # (2, 3, 8), not C-contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            encode_hashed_bow(["a b", "c", "d e"], dim=8, n_chunks=3, books=[2, 1], out=out)
+
+    @pytest.mark.parametrize("books", [[1, 1], [2, 2], [4, -1]])
+    def test_books_must_add_up_to_the_sentences(self, books):
+        tokens = tokenize_sentences(["a b", "c", "d e"])
+        message = f"books hold {sum(books)} sentences {books}, the tokens 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_hashed_bow(tokens, dim=8, n_chunks=2, books=books)
 
     def test_disjoint_vocab_cosine_expectation_near_zero(self):
         # over random hash seeds, cosine of disjoint-token sentences
@@ -270,6 +285,18 @@ class TestHashVocab:
         hashes = _hash_vocab(vocab, seed)
         assert hashes.dtype == np.uint64 and hashes.shape == (len(vocab),)
         assert hashes.tolist() == [_hash64(token.lower(), seed) for token in vocab]
+
+
+    def test_memory_grows_with_the_bytes_not_the_longest_token(self):
+        vocab = [f"word{i}" for i in range(2000)] + ["x" * 4000, "é" * 1000]
+        tracemalloc.start()
+        try:
+            hashes = _hash_vocab(vocab, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # a (V, longest) byte matrix would take 64 MB
+        assert hashes.tolist() == [_hash64(token.lower(), 3) for token in vocab]
 
 
 class TestBookAverage:

@@ -346,32 +346,56 @@ class TestOneTokenizationPerBook:
         ]
         assert calls[0] == [span for section in sections for span in section.spans()]
 
-    def test_chunk_averages_never_build_the_sentence_matrix(self, tmp_path):
+    N_LONG_SENTENCES = 5000
+
+    @pytest.fixture(scope="class")
+    def long_book(self, tmp_path_factory):
+        """A manifest of one book of ``N_LONG_SENTENCES`` sentences."""
+        root = tmp_path_factory.mktemp("long")
         rng = np.random.default_rng(4)
         words = np.array([f"w{i}" for i in range(3000)], dtype=object)
-        n_sentences = 5000
         text = " ".join(
             " ".join(words[rng.integers(len(words), size=int(k))]) + "."
-            for k in rng.integers(6, 13, size=n_sentences)
+            for k in rng.integers(6, 13, size=self.N_LONG_SENTENCES)
         )
-        book = tmp_path / "long.txt"
-        book.write_text(text, encoding="utf-8")
-        manifest = tmp_path / "manifest.csv"
+        (root / "long.txt").write_text(text, encoding="utf-8")
+        manifest = root / "manifest.csv"
         manifest.write_text(
             "book_id,genre,avg_rating,n_ratings,label,text_path\n"
-            f"long,Drama,4.0,10,,{book.name}\n",
+            "long,Drama,4.0,10,,long.txt\n",
             encoding="utf-8",
         )
-        (record,) = load_corpus(manifest)
-        cfg = TrainConfig(section=SectionSpec("full"))
+        return load_corpus(manifest)
+
+    def traced_peak(self, run):
+        """``run()`` and the peak bytes tracemalloc saw it allocate."""
         tracemalloc.start()
         try:
-            x, _ = pipeline.featurize_book(record, cfg)
+            result = run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return result, peak
+
+    def test_chunk_averages_never_build_the_sentence_matrix(self, long_book):
+        (record,) = long_book
+        cfg = TrainConfig(section=SectionSpec("full"))
+        (x, _), peak = self.traced_peak(lambda: pipeline.featurize_book(record, cfg))
         assert x.shape == (cfg.model.n_chunks, cfg.encoder.dim)
-        assert peak < n_sentences * cfg.encoder.dim * 8 / 2
+        assert peak < self.N_LONG_SENTENCES * cfg.encoder.dim * 8 / 2
+
+    @pytest.mark.parametrize("command", ["book2vec", "export-vectors"])
+    def test_book_means_never_build_the_sentence_matrix(self, long_book, tmp_path, command):
+        # One chunk of every sentence, under the same bound as the cnn's 50.
+        cfg = TrainConfig(section=SectionSpec("full"), model=ModelConfig(arch="book2vec"))
+        if command == "book2vec":
+            (x, _), peak = self.traced_peak(lambda: pipeline.featurize_book(long_book[0], cfg))
+            assert x.shape == (cfg.encoder.dim,)
+        else:
+            out = tmp_path / "vectors.csv"
+            n, peak = self.traced_peak(lambda: export_book_vectors(long_book, cfg, out))
+            assert n == 1 and len(out.read_text(encoding="utf-8").splitlines()) == 2
+        assert peak < self.N_LONG_SENTENCES * cfg.encoder.dim * 8 / 2
 
 
 def untrained_model(cfg):

@@ -1,11 +1,12 @@
-"""Differential tests: the array segmenter and tokenizer, the
-vocabulary-and-scatter hashed encoder and the frequency-weighted counts
-against the character-loop and per-token reference in ``text_reference``
-and the one-sentence regex ``tokenize_words``. Everything must agree
-exactly: the same sentence texts, the same tokens whether raw spans,
-normalized sentences or a book's section are tokenized, the same
-``TextCounts`` and encoder matrices equal bit for bit, and chunk averages
-built block by block equal ``chunk_average`` of the full matrix bit for bit.
+"""Differential tests: the array segmenter and tokenizer, the sparse
+hashed encoder and the frequency-weighted counts against the
+character-loop and per-token reference in ``text_reference`` and the
+one-sentence regex ``tokenize_words``. Everything must agree exactly: the
+same sentence texts, the same tokens whether raw spans, normalized
+sentences or a book's section are tokenized, the same ``TextCounts`` and
+encoder matrices equal bit for bit, and the chunk averages the encoder sums
+from (sentence, bucket) entries, one book or several, equal
+``chunk_average`` of the reference's full matrix bit for bit.
 """
 
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import text_reference as ref
 from bookpred import pipeline, textstats
 from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel, select_section
-from bookpred.embedding import _BLOCK_ROWS, chunk_average, encode_hashed_bow
+from bookpred.embedding import chunk_average, encode_hashed_bow
 from bookpred.textstats import (
     counts_from_sentences,
     segment_sentences,
@@ -134,10 +135,10 @@ def test_chunked_encoder_matches_chunk_average(sentences, n_chunks):
 @pytest.mark.parametrize(
     "n_sentences, n_chunks",
     [
-        (2 * _BLOCK_ROWS + 300, 2),  # every chunk larger than one block
-        (_BLOCK_ROWS + 7, 1),  # one chunk larger than one block
-        (3 * _BLOCK_ROWS + 5, 50),  # many whole chunks per block
-        (_BLOCK_ROWS + 1, _BLOCK_ROWS + 1),  # one row per chunk
+        (2348, 2),  # two chunks of over a thousand rows each
+        (1031, 1),  # one chunk of every row, as book2vec averages
+        (3077, 50),  # two chunk sizes, 62 and 61 rows
+        (1025, 1025),  # one row per chunk
         (1500, 2000),  # more chunks than sentences
     ],
 )
@@ -149,6 +150,35 @@ def test_chunked_encoder_across_block_boundaries(n_sentences, n_chunks):
         for k in rng.integers(0, 9, size=n_sentences)
     ]
     _same_chunks(sentences, n_chunks)
+
+
+# At dim 8 and seed 0, "a" and "don't" share bucket 6 with opposite signs,
+# and sixteen words in eight buckets must share some: a sentence of up to
+# 12 of them often sums +1 and -1, or repeats a word, in one bucket.
+_DIM_8_WORDS = ["a", "don't", "B", "see", "é", "42", "x-y", "..."] + [f"w{i}" for i in range(9)]
+_dim_8_sentences = st.lists(st.sampled_from(_DIM_8_WORDS), max_size=12).map(" ".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.lists(_dim_8_sentences, max_size=9), min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.integers(0, 3),
+)
+@example([["a don't", "a a don't w2", ""]], 1, 0)  # a zero row, then +1 +1 -1 +1
+@example([["a a don't"], [], ["...", "w1 B x-y", "don't"]], 4, 0)  # fewer rows than chunks
+@example([["see é see", "w6 w6"] * 5, ["a"] * 7], 3, 0)
+def test_chunks_of_books_match_reference_at_dim_8(books, n_chunks, seed):
+    sentences = [sentence for book in books for sentence in book]
+    sizes = [len(book) for book in books]
+    actual = encode_hashed_bow(
+        tokenize_sentences(sentences), dim=8, seed=seed, n_chunks=n_chunks, books=sizes
+    )
+    full = ref.encode_hashed_bow(sentences, dim=8, seed=seed)
+    starts = np.cumsum([0] + sizes).tolist()
+    expected = [chunk_average(full[a:b], n_chunks) for a, b in zip(starts, starts[1:])]
+    assert actual.shape == (len(books), n_chunks, 8)
+    assert actual.tobytes() == np.stack(expected).tobytes()
 
 
 # The first window of ``first:K`` segmentation holds the text's first

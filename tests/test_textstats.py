@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -195,6 +196,14 @@ class TestComputeCounts:
         text = "Dr. Smith arrived late. He sat down! Nobody asked why."
         tokens = tokenize_sentences(segment_sentences(text))
         assert counts_from_sentences(tokens) == compute_counts(text)
+
+
+    @pytest.mark.parametrize("books", [[1, 1], [2, 2], [4, -1]])
+    def test_books_must_add_up_to_the_sentences(self, books):
+        tokens = tokenize_sentences(["a b", "c", "d e"])
+        message = f"books hold {sum(books)} sentences {books}, the tokens 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counts_from_sentences(tokens, books)
 
 
 class TestCharacterClasses:

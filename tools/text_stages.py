@@ -11,7 +11,9 @@ times, through the public API only:
   tokenize the section);
 * ``counts``: ``textstats.counts_from_sentences`` on those tokens;
 * ``hashed-512``: ``embedding.encode_hashed_bow`` at dim 512 and 50 chunks,
-  as the default CNN featurizes.
+  as the default CNN featurizes;
+* ``hashed-512x1``: the same encoder at dim 512 and one chunk, the mean of
+  the whole section, as book2vec and ``export-vectors`` featurize.
 
 A third set, ``short``, holds 64 seeded books of 60-100 sentences, the
 size where fixed per-call costs dominate. It is featurized at
@@ -103,7 +105,8 @@ def write_short_books(root: Path, n_books: int, seed: int) -> list:
 
 def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, float]:
     """Median seconds per stage over ``repeats`` passes over all records."""
-    seconds: dict[str, list[float]] = {"segment+tokenize": [], "counts": [], "hashed-512": []}
+    stages = ("segment+tokenize", "counts", "hashed-512", "hashed-512x1")
+    seconds: dict[str, list[float]] = {stage: [] for stage in stages}
     for _ in range(repeats):
         totals = dict.fromkeys(seconds, 0.0)
         for record in records:
@@ -114,7 +117,9 @@ def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, 
             t2 = time.perf_counter()
             encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=50)
             t3 = time.perf_counter()
-            for stage, dt in zip(totals, (t1 - t0, t2 - t1, t3 - t2)):
+            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=1)
+            t4 = time.perf_counter()
+            for stage, dt in zip(totals, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 totals[stage] += dt
         for stage, total in totals.items():
             seconds[stage].append(total)
