@@ -162,6 +162,8 @@ def encode_hashed_bow(
     ``books`` too, the sentence counts of consecutive books, which must
     add up to the sentences, each book's in a (len(books), n_chunks, dim)
     array (``out`` if given, which must be C-contiguous of that shape).
+    ``out`` without ``n_chunks`` is a ``ValueError``: the un-chunked
+    matrix is always a new array.
 
     No dense sentence row is built. A word's key is its (sentence,
     bucket) pair and its sign; sorted, the signs of one pair add up to an
@@ -172,6 +174,8 @@ def encode_hashed_bow(
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
+    if out is not None and n_chunks is None:
+        raise ValueError("out needs n_chunks: the (n_sentences, dim) matrix is a new array")
     tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
     counts = tokens.books(books)
     n = len(tokens)

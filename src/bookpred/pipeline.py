@@ -173,19 +173,24 @@ def featurize_book(
 
 def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
     """Write the hashed ``x`` rows and the ``readability`` rows of ``block``,
-    consecutive (corpus index, record, section) triples, from one
-    tokenization, and empty it; the first book without scores raises."""
+    consecutive (corpus index, record, section) triples, from one pass over
+    the joined sections, and empty it; the first book without scores
+    raises. Words are numbered only for the hashed encoder; an external
+    one's counts come straight from the bytes."""
     if not block:
         return
     indices, records, parts = zip(*block)
     block.clear()
-    tokens = Sentences.join(parts).tokens()
-    books = [len(part) for part in parts]
-    if cfg.encoder.kind == "hashed":
+    sentences, books = Sentences.join(parts), [len(part) for part in parts]
+    if cfg.encoder.kind != "hashed":
+        book_counts = sentences.counts(books)
+    else:
+        tokens = sentences.tokens()
         enc, rows = cfg.encoder, x[indices[0] : indices[-1] + 1]
         encode_hashed_bow(tokens, enc.dim, enc.seed, cfg.model.n_chunks, books, rows)
+        book_counts = counts_from_sentences(tokens, books) if readability is not None else []
     if readability is not None:
-        for i, record, counts in zip(indices, records, counts_from_sentences(tokens, books)):
+        for i, record, counts in zip(indices, records, book_counts):
             try:
                 readability[i] = readability_vector(counts)
             except ValueError as exc:

@@ -24,6 +24,20 @@ numbers them in a first-sight vocabulary and counts each sentence's
 words by ``searchsorted``; after ``Sentences.join`` one pass tokenizes
 a block of books, whose counts share the vocabulary. ``tokenize_words``
 is the one-sentence regex the kernel must agree with.
+
+Counts need no word ids. ``Sentences.counts`` finds the words by the same
+byte mask as ``Sentences.tokens``, and one byte kernel reads each word's
+characters and syllables from its UTF-8 bytes: vowel-group starts by a
+byte table, the silent-e and consonant-le rules from its last three
+bytes, and the floor of 1; a byte that continues a character, ``'``,
+``-`` and ``’`` count as no character. Case is read from ASCII bytes alone:
+no other letter or digit lowercases to ASCII but ``İ`` (bytes C4 B0),
+whose lowercase is ``i`` and a combining dot, so it counts as the vowel
+``i`` then a non-vowel, and the Kelvin sign, a consonant either way.
+Words are numbered only for the hashed encoder, which hashes each
+distinct word once; ``counts_from_sentences`` runs the same kernel over
+that vocabulary, and ``count_syllables`` is the one-word rule the kernel
+must agree with.
 """
 
 from __future__ import annotations
@@ -69,6 +83,11 @@ _VOWELS = frozenset("aeiouy")
 # separator; the three-byte ’ is found by its bytes.
 _OTHER, _ALNUM, _JOINER, _TERMINATOR, _SPACE, _FILL, _NEWLINE = range(7)
 _RIGHT_QUOTE = tuple("’".encode())
+_DOTTED_CAPITAL_I = tuple("İ".encode())
+# Per byte of a word: an ASCII vowel, either case, and a byte that counts
+# as no character, one that continues a character or is ' or -.
+_VOWEL_BYTES = bytes(chr(b).lower() in _VOWELS for b in range(128)) + bytes(128)
+_OTHER_BYTES = bytes(0x80 <= b < 0xC0 or chr(b) in "'-" for b in range(256))
 _UTF8 = ("utf-8", "surrogatepass")
 
 
@@ -158,6 +177,73 @@ def _sentence_bounds(data: bytes, classes: np.ndarray) -> tuple[np.ndarray, np.n
     return cuts[keep], np.append(cuts[1:], len(data))[keep]
 
 
+def _word_mask(codes: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Which of the UTF-8 bytes ``codes`` of the given classes are in words:
+    letters and digits, and a separator between two of them."""
+    alnum = classes == _ALNUM
+    word = alnum.copy()
+    word[1:-1] |= (classes[1:-1] == _JOINER) & alnum[:-2] & alnum[2:]
+    q = np.flatnonzero(codes[1:-3] == _RIGHT_QUOTE[0]) + 1  # a ’ between letters
+    q = q[(codes[q + 1] == _RIGHT_QUOTE[1]) & (codes[q + 2] == _RIGHT_QUOTE[2])]
+    word[np.add.outer(q[alnum[q - 1] & alnum[q + 3]], range(3))] = True
+    return word
+
+
+def _word_stats(
+    codes: np.ndarray, word: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The characters and the ``count_syllables`` of each word (int64) of
+    the UTF-8 bytes ``codes``: each maximal run of the bytes ``word`` marks,
+    which starts at the matching one of ``starts``."""
+    if not len(starts):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    data = codes.tobytes()
+    vowel = np.frombuffer(data.translate(_VOWEL_BYTES), bool) & word
+    other = np.frombuffer(data.translate(_OTHER_BYTES), bool) & word  # no character
+    if not data.isascii():
+        vowel[:-1] |= (codes[:-1] == _DOTTED_CAPITAL_I[0]) & (codes[1:] == _DOTTED_CAPITAL_I[1])
+        q = np.flatnonzero(codes[:-2] == _RIGHT_QUOTE[0])
+        q = q[(codes[q + 1] == _RIGHT_QUOTE[1]) & (codes[q + 2] == _RIGHT_QUOTE[2])]
+        other[q] = word[q]
+    group = vowel.copy()  # the first vowel of each group
+    group[1:] &= ~vowel[:-1]
+    groups = np.add.reduceat(group, starts, dtype=np.int64)
+    # The word's last bytes, lowercased by one bit where they are ASCII
+    # letters: a silent e, unless after a consonant and an l. A word of
+    # two vowel groups that ends in "le" has a byte before the l.
+    last = np.flatnonzero(word & ~np.append(word[1:], False))
+    e = codes[last] | 0x20 == ord("e")
+    le = (codes[last - 1] | 0x20 == ord("l")) & ~vowel[np.maximum(last - 2, 0)]
+    syllables = np.maximum(groups - ((groups > 1) & e & ~le), 1)
+    # A word's bytes less the few that are no character.
+    others = np.searchsorted(starts, np.flatnonzero(other), "right") - 1
+    return last + 1 - starts - np.bincount(others, minlength=len(starts)), syllables
+
+
+def _vocab_stats(vocab: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_word_stats`` of the words ``vocab``, joined by spaces."""
+    codes = np.frombuffer(" ".join(vocab).encode(*_UTF8), np.uint8)
+    word = codes != ord(" ")
+    return _word_stats(codes, word, np.flatnonzero(word & ~np.append(False, word[:-1])))
+
+
+def _cumulative(values: np.ndarray) -> np.ndarray:
+    """The sums of ``values`` along their last axis before each index and
+    after the last one (int64)."""
+    sums = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), np.int64)
+    np.cumsum(values, axis=-1, out=sums[..., 1:])
+    return sums
+
+
+def _book_sizes(n: int, sizes: Sequence[int] | None) -> list[int]:
+    """``sizes``, the sentence counts of consecutive books, as a list, or
+    all ``n`` sentences as one book; none negative, they add up to ``n``."""
+    sizes = [n] if sizes is None else list(sizes)
+    if sum(sizes) != n or min(sizes, default=0) < 0:
+        raise ValueError(f"books hold {sum(sizes)} sentences {sizes}, the tokens {n}")
+    return sizes
+
+
 def tokenize_words(sentence: str) -> list[str]:
     """Return the words of ``sentence``: maximal runs of letters and
     digits, allowing internal apostrophes and hyphens. Case preserved."""
@@ -184,10 +270,7 @@ class Tokens:
     def books(self, sizes: Sequence[int] | None = None) -> list[int]:
         """``sizes``, the sentence counts of consecutive books, as a list, or
         all the sentences as one book; none negative, they add up to ``len(self)``."""
-        sizes = [len(self)] if sizes is None else list(sizes)
-        if sum(sizes) != len(self) or min(sizes, default=0) < 0:
-            raise ValueError(f"books hold {sum(sizes)} sentences {sizes}, the tokens {len(self)}")
-        return sizes
+        return _book_sizes(len(self), sizes)
 
 
 class _Vocabulary(dict):
@@ -235,30 +318,47 @@ class Sentences:
         bounds = zip(self.starts.tolist(), self.ends.tolist())
         return [self.data[a:b].decode(*_UTF8) for a, b in bounds]
 
-    def tokens(self) -> Tokens:
-        """The words of the sentences, tokenized in array passes over
-        blocks of sentences, which bound the memory a pass takes; no word
-        crosses the whitespace between two sentences."""
-        vocab = _Vocabulary()
-        ids = array("q")
-        lengths = array("q")
+    def _word_blocks(self):
+        """For each block of ``_BLOCK_SENTENCES`` sentences, which bounds the
+        memory a pass takes: its UTF-8 bytes, the masks of its word bytes and
+        of each word's first byte, and the number of words before each
+        sentence's start and before the block's end. No word crosses the
+        whitespace between two sentences."""
         for block in range(0, len(self), _BLOCK_SENTENCES):
             starts = self.starts[block : block + _BLOCK_SENTENCES]
             lo, hi = int(starts[0]), int(self.ends[block + len(starts) - 1])
             codes = np.frombuffer(self.data, np.uint8)[lo:hi]
-            classes = self.classes[lo:hi]
-            alnum = classes == _ALNUM
-            word = alnum.copy()
-            word[1:-1] |= (classes[1:-1] == _JOINER) & alnum[:-2] & alnum[2:]
-            q = np.flatnonzero(codes[1:-3] == _RIGHT_QUOTE[0]) + 1  # a ’ between letters
-            q = q[(codes[q + 1] == _RIGHT_QUOTE[1]) & (codes[q + 2] == _RIGHT_QUOTE[2])]
-            word[np.add.outer(q[alnum[q - 1] & alnum[q + 3]], range(3))] = True
-            word_starts = np.flatnonzero(word & ~np.append(False, word[:-1]))
-            ends = np.append(starts - lo, hi - lo)
-            lengths.extend(np.diff(np.searchsorted(word_starts, ends)).tolist())
+            word = _word_mask(codes, self.classes[lo:hi])
+            firsts = np.flatnonzero(word & ~np.append(False, word[:-1]))
+            yield codes, word, firsts, np.searchsorted(firsts, np.append(starts - lo, hi - lo))
+
+    def tokens(self) -> Tokens:
+        """The words of the sentences, numbered in a first-sight vocabulary,
+        one array pass per block of sentences."""
+        vocab = _Vocabulary()
+        ids = array("q")
+        lengths = array("q")
+        for codes, word, _, bounds in self._word_blocks():
+            lengths.extend(np.diff(bounds).tolist())
             words = np.where(word, codes, ord(" ")).tobytes().decode(*_UTF8)
             ids.extend(map(vocab.__getitem__, words.split()))
         return Tokens(list(vocab), np.frombuffer(ids, np.int64), np.frombuffer(lengths, np.int64))
+
+    def counts(self, books: Sequence[int] | None = None) -> TextCounts | list[TextCounts]:
+        """Exactly ``counts_from_sentences(self.tokens(), books)``, from the
+        words' bytes, one array pass per block of sentences; no word is
+        numbered."""
+        sizes = _book_sizes(len(self), books)
+        lengths, per_word = [np.zeros(0, np.int64)], [np.zeros((3, 0), np.int64)]
+        for codes, word, firsts, bounds in self._word_blocks():
+            characters, syllables = _word_stats(codes, word, firsts)
+            lengths.append(np.diff(bounds))
+            per_word.append(np.array([characters, syllables, syllables >= 3]))
+        words = _cumulative(np.concatenate(lengths))[np.cumsum([0] + sizes)]
+        totals = np.diff(_cumulative(np.hstack(per_word))[:, words])
+        rows = np.vstack((np.diff(words), totals)).T.tolist()
+        counts = [TextCounts(w, c, n, s, p) for n, (w, c, s, p) in zip(sizes, rows)]
+        return counts[0] if books is None else counts
 
 
 def split_sentences(text: str, first: int | None = None) -> Sentences:
@@ -337,13 +437,10 @@ def counts_from_sentences(
     per distinct token of the shared vocabulary, and each book's counts
     weight them by one ``bincount`` of its word ids.
     """
-    vocab = tokens.vocab
-    characters = [len(t.replace("'", "").replace("’", "").replace("-", "")) for t in vocab]
-    syllables = np.array(list(map(count_syllables, vocab)), np.int64)
+    characters, syllables = _vocab_stats(tokens.vocab)
     per_token = np.array([characters, syllables, syllables >= 3], np.int64).T
     sentences = tokens.books(books)
-    word_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
-    bounds = word_starts[np.concatenate(([0], np.cumsum(sentences)))].tolist()
+    bounds = _cumulative(tokens.lengths)[np.cumsum([0] + sentences)].tolist()
     counts = []
     for n, start, stop in zip(sentences, bounds, bounds[1:]):
         frequency = np.bincount(tokens.ids[start:stop], minlength=len(per_token))
@@ -353,5 +450,5 @@ def counts_from_sentences(
 
 
 def compute_counts(text: str) -> TextCounts:
-    """Segment and tokenize ``text`` and return its aggregate count statistics."""
-    return counts_from_sentences(split_sentences(text).tokens())
+    """Segment ``text`` and return its aggregate count statistics."""
+    return split_sentences(text).counts()

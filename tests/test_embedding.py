@@ -77,6 +77,14 @@ class TestHashedBow:
         with pytest.raises(ValueError, match="C-contiguous"):
             encode_hashed_bow(["a b", "c", "d e"], dim=8, n_chunks=3, books=[2, 1], out=out)
 
+    def test_out_without_n_chunks_rejected(self):
+        # The un-chunked matrix is always new, so an ``out`` there would be
+        # left as it was while the caller reads it.
+        out = np.full((2, 8), 7.0)
+        with pytest.raises(ValueError, match="out needs n_chunks"):
+            encode_hashed_bow(["a b", "c"], dim=8, out=out)
+        assert (out == 7.0).all()
+
     @pytest.mark.parametrize("books", [[1, 1], [2, 2], [4, -1]])
     def test_books_must_add_up_to_the_sentences(self, books):
         tokens = tokenize_sentences(["a b", "c", "d e"])

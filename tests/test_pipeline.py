@@ -346,6 +346,25 @@ class TestOneTokenizationPerBook:
         ]
         assert calls[0] == [span for section in sections for span in section.spans()]
 
+    def test_external_encoder_counts_without_tokens(self, tiny_corpus, tiny_semb_dir, monkeypatch):
+        # An external encoder needs only counts, which come from the bytes:
+        # no word is numbered, and the scores are the reference's.
+        cfg = fast_cfg(section=SectionSpec.parse("last:17"),
+                       encoder=EncoderConfig(directory=tiny_semb_dir))
+
+        def refuse(sentences):
+            raise AssertionError("Sentences.tokens called")
+
+        monkeypatch.setattr(textstats.Sentences, "tokens", refuse)
+        monkeypatch.setattr(textstats, "tokenize_sentences", None)
+        monkeypatch.setattr(embedding, "tokenize_sentences", None)
+        _, raw = pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
+        for i, record in enumerate(tiny_corpus):
+            text = record.text_path.read_text(encoding="utf-8")
+            sentences = select_section(ref.segment_sentences(text), cfg.section)
+            expected = readability_vector(ref.counts_from_sentences(sentences))
+            assert raw[i].tobytes() == expected.tobytes()
+
     N_LONG_SENTENCES = 5000
 
     @pytest.fixture(scope="class")

@@ -3,14 +3,16 @@ hashed encoder and the frequency-weighted counts against the
 character-loop and per-token reference in ``text_reference`` and the
 one-sentence regex ``tokenize_words``. Everything must agree exactly: the
 same sentence texts, the same tokens whether raw spans, normalized
-sentences or a book's section are tokenized, the same ``TextCounts`` and
-encoder matrices equal bit for bit, and the chunk averages the encoder sums
+sentences or a book's section are tokenized, the same ``TextCounts``
+whether counted from tokens or straight from the bytes, per book and across
+blocks of sentences, and encoder matrices equal bit for bit, and the chunk averages the encoder sums
 from (sentence, bucket) entries, one book or several, equal
 ``chunk_average`` of the reference's full matrix bit for bit.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,6 +232,37 @@ def test_section_tokens_match_reference(text, k):
             else:
                 with pytest.raises(pipeline.FeaturizationError, match="no sentences"):
                     pipeline.section_tokens(record, spec)
+
+
+# Words on the counting rules (case, silent e, consonant-le, İ and the
+# Kelvin sign, whose lowercases hold ASCII, digits, joiners and ’), in
+# random Unicode text.
+_COUNT_PIECES = [
+    "İle", "İ", "ıe", "Kle", "KLE", "Able", "table", "tle", "ale", "e", "le", "Ye", "ÿe",
+    "rock’n’roll", "o’clock", "don't", "well-known", "x-ray", "42", "٣٤", "²", "x9",
+    "é", "Straße", "日本語", "\u200d", "’", "'", "-", " ", ". ", "! ", "\n\n", "— .",
+]
+_count_texts = st.lists(
+    st.sampled_from(_COUNT_PIECES) | st.text(max_size=4), max_size=40
+).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_count_texts, st.integers(1, 4), st.lists(st.integers(0, 99), max_size=5))
+@example("", 1, [0])
+@example("İle Kle able. — . ab" * 3, 2, [1, 4])
+def test_counts_from_bytes_match_tokens_and_reference(text, block, cuts):
+    # Books cut at random sentences, some empty, in blocks of 1-4 sentences.
+    sentences = split_sentences(text)
+    n = len(sentences)
+    books = np.diff([0, *sorted(cut % (n + 1) for cut in cuts), n]).tolist()
+    starts = np.cumsum([0] + books).tolist()
+    reference = ref.segment_sentences(text)
+    expected = [ref.counts_from_sentences(reference[a:b]) for a, b in zip(starts, starts[1:])]
+    with mock.patch.object(textstats, "_BLOCK_SENTENCES", block):
+        assert sentences.counts(books) == expected
+        assert counts_from_sentences(sentences.tokens(), books) == expected
+        assert sentences.counts() == counts_from_sentences(sentences.tokens())
 
 
 def test_first_k_classifies_only_a_prefix(monkeypatch):

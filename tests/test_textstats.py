@@ -4,10 +4,13 @@ import sys
 import numpy as np
 import pytest
 
+from bookpred import textstats
 from bookpred.textstats import (
     _ABBREVIATION_ENDS,
     _ABBREVIATIONS,
     _WORD_RE,
+    TextCounts,
+    _vocab_stats,
     compute_counts,
     count_syllables,
     counts_from_sentences,
@@ -204,6 +207,52 @@ class TestComputeCounts:
         message = f"books hold {sum(books)} sentences {books}, the tokens 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             counts_from_sentences(tokens, books)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_sentences("a b. c. d e.").counts(books)
+
+
+class TestSentenceCounts:
+    """``Sentences.counts`` is ``counts_from_sentences`` of the tokens,
+    counted from the bytes."""
+
+    @staticmethod
+    def _both(text, books=None):
+        sentences = split_sentences(text)
+        counts = sentences.counts(books)
+        assert counts == counts_from_sentences(sentences.tokens(), books)
+        return counts
+
+    def test_empty_block(self):
+        assert self._both("") == TextCounts(0, 0, 0, 0, 0)
+        assert self._both("", []) == []
+        assert self._both(" \n\n ", [0, 0]) == [TextCounts(0, 0, 0, 0, 0)] * 2
+        first, empty, last = self._both("I came. I saw.", [1, 0, 1])
+        assert empty == TextCounts(0, 0, 0, 0, 0)
+        assert (first, last) == (TextCounts(2, 5, 1, 2, 0), TextCounts(2, 4, 1, 2, 0))
+
+    def test_sentences_without_words(self):
+        assert self._both("— .") == TextCounts(0, 0, 1, 0, 0)
+        counts = self._both("— . Able table. ... !!! ?\n\n-'’ .", [1, 1, 4])
+        assert counts == [
+            TextCounts(0, 0, 1, 0, 0),
+            TextCounts(2, 9, 1, 4, 0),
+            TextCounts(0, 0, 4, 0, 0),
+        ]
+
+    def test_more_than_255_vowel_groups(self):
+        # Group counts are summed per word in int64, so no uint8 wraps.
+        for word, syllables in (("ba" * 300, 300), ("ab" * 256, 256), ("ab" * 255 + "le", 256)):
+            assert count_syllables(word) == syllables
+            counts = self._both(f"{word} {word}. A.")
+            assert counts.syllables == 2 * syllables + 1
+            assert counts.polysyllables == 2
+            assert counts.characters == 2 * len(word) + 1
+
+    def test_blocks_of_sentences_add_up(self, monkeypatch):
+        text = " ".join(f"Word{i} table İle o’clock well-known." for i in range(40))
+        whole = self._both(text, [7, 30, 3])
+        monkeypatch.setattr(textstats, "_BLOCK_SENTENCES", 3)
+        assert self._both(text, [7, 30, 3]) == whole
 
 
 class TestCharacterClasses:
@@ -225,6 +274,33 @@ class TestCharacterClasses:
         letters = {abbreviation[-2] for abbreviation in _ABBREVIATIONS}
         expected = {c for c in self.ALL if c.lower()[-1:] in letters}
         assert _ABBREVIATION_ENDS == expected
+
+    def test_lowercase_keeps_ascii_and_length_but_for_two(self):
+        # The counts kernel reads case from ASCII bytes and lowercases no
+        # other character: only U+0130, whose lowercase is i and a combining
+        # dot, and the Kelvin sign U+212A, whose lowercase is k, lowercase
+        # to ASCII or to another length.
+        odd = [
+            c
+            for c in self.ALL[128:]
+            if c.isalnum() and (len(c.lower()) != 1 or not all(ord(x) > 127 for x in c.lower()))
+        ]
+        assert odd == ["\u0130", "\u212a"]
+
+    def test_counts_kernel_matches_count_syllables(self):
+        # Every alphanumeric alone, before "le" with and without a consonant
+        # first, before a silent e and between two vowels.
+        words = [
+            w
+            for c in self.ALL
+            if c.isalnum()
+            for w in (c, c + "le", "b" + c + "le", c + "e", "a" + c + "a")
+        ]
+        characters, syllables = _vocab_stats(words)
+        expected = [len(w.replace("'", "").replace("’", "").replace("-", "")) for w in words]
+        assert characters.tolist() == expected
+        mismatches = [w for w, s in zip(words, syllables.tolist()) if s != count_syllables(w)]
+        assert mismatches == []
 
     def test_separators_are_not_characters(self):
         c = compute_counts("Rock’n’roll isn't so-so.")

@@ -7,12 +7,14 @@ outputs.
 OUT_DIR must not exist yet. The tool builds seeded synthetic corpora in it,
 plus a few hand-written texts that sit on the text rules (Unicode
 separators, quoted abbreviations, a blank line with a carriage return, a
-text without words). It then runs ``bookpred.cli.main`` in-process, from the
-``src/`` of the checkout it lives in, for train (cnn at hashed dim 512,
-book2vec, a ``last:17`` section, and external ``.semb`` vectors at dim 64),
-eval, attribute for both targets, mcnemar of the dim-512 cnn against book2vec
-and against ``last:17``, featurize, export-vectors with the hashed and the
-``.semb`` encoder, and readability. Each output file, and each
+text without words), each with a seeded noise ``.semb`` file. It then runs
+``bookpred.cli.main`` in-process, from the ``src/`` of the checkout it lives
+in, for train (cnn at hashed dim 512, book2vec, a ``last:17`` section, and
+external ``.semb`` vectors at dim 64), eval, attribute for both targets,
+eval and attribute of the ``.semb`` model on its corpus plus the hand-written
+texts with words, mcnemar of the dim-512 cnn against book2vec and against
+``last:17``, featurize, export-vectors with the hashed and the ``.semb``
+encoder, and readability. Each output file, and each
 command's standard output, gets one ``sha256  name`` line; the absolute
 OUT_DIR path is replaced by ``OUT_DIR`` first, so the digests do not depend
 on where the tool ran. To compare two checkouts, run each one's copy of the
@@ -32,7 +34,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from bookpred import cli, synth  # noqa: E402
+from bookpred.embedding import write_embeddings  # noqa: E402
+from bookpred.textstats import split_sentences  # noqa: E402
 
 # Texts on the edges of the segmentation and counting rules. "nowords" has
 # sentences but no word, so only the commands that need no readability
@@ -71,19 +77,27 @@ def build_inputs(out: Path) -> dict[str, Path]:
     with open(heldout, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         fields, rows = reader.fieldnames, list(reader)
+    with open(semb, encoding="utf-8", newline="") as fh:
+        semb_rows = list(csv.DictReader(fh))
+    rng = np.random.default_rng(14)
     odd_rows = []
     for i, (name, text) in enumerate(ODD_TEXTS.items()):
         path = out / "heldout" / "books" / f"{name}.txt"
         path.write_text(text, encoding="utf-8", newline="")
+        n_sentences = len(split_sentences(path.read_text(encoding="utf-8")))
+        write_embeddings(rng.standard_normal((n_sentences, 64)),
+                         out / "semb" / "semb" / f"{name}.semb")
         odd_rows.append({"book_id": name, "genre": "Poetry", "avg_rating": "",
                          "n_ratings": "", "label": ("Successful", "Unsuccessful")[i % 2],
                          "text_path": str(Path("books") / path.name)})
     with_words = [r for r in odd_rows if r["book_id"] != "nowords"]
+    semb_odd = [dict(r, text_path=str(Path("..", "heldout", r["text_path"]))) for r in with_words]
     return {
         "train": out / "train" / "manifest.csv",
         "eval": _write_manifest(out / "heldout" / "eval.csv", fields, rows + with_words),
         "all": _write_manifest(out / "heldout" / "all.csv", fields, rows + odd_rows),
         "semb": semb,
+        "semb_odd": _write_manifest(out / "semb" / "odd.csv", fields, semb_rows + semb_odd),
         "semb_dir": out / "semb" / "semb",
         "odd": out / "heldout" / "books",
     }
@@ -124,6 +138,14 @@ def runs(inputs: dict[str, Path], runs_dir: Path) -> list[tuple[str, list[str]]]
             name = f"attribute_{model}_{target}"
             commands.append((name, ["attribute", "--checkpoint", checkpoint, *data,
                                     "--target", target, "--out", str(runs_dir / f"{name}.csv")]))
+    semb_odd = ["--checkpoint", str(runs_dir / "train_semb64.bpmd"), "--manifest",
+                str(inputs["semb_odd"]), "--semb-dir", str(inputs["semb_dir"])]
+    commands += [
+        ("eval_semb64_odd", ["eval", *semb_odd, "--out", str(runs_dir / "eval_semb64_odd.csv"),
+                             "--preds", str(runs_dir / "preds_semb64_odd.csv")]),
+        ("attribute_semb64_odd", ["attribute", *semb_odd,
+                                  "--out", str(runs_dir / "attribute_semb64_odd.csv")]),
+    ]
     for other in ("book2vec", "last17"):
         name = f"mcnemar_cnn512_{other}"
         commands.append((name, ["mcnemar", str(runs_dir / "preds_cnn512.csv"),

@@ -9,7 +9,11 @@ times, through the public API only:
 
 * ``segment+tokenize``: ``pipeline.section_tokens`` (read, segment and
   tokenize the section);
-* ``counts``: ``textstats.counts_from_sentences`` on those tokens;
+* ``counts``: ``textstats.counts_from_sentences`` on those tokens, as
+  the hashed encoder's featurization counts;
+* ``counts-bytes``: ``Sentences.counts`` on the segmented section (segmented
+  outside the timing), which counts straight from the bytes without
+  numbering a word, as an external encoder's featurization counts;
 * ``hashed-512``: ``embedding.encode_hashed_bow`` at dim 512 and 50 chunks,
   as the default CNN featurizes;
 * ``hashed-512x1``: the same encoder at dim 512 and one chunk, the mean of
@@ -47,7 +51,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel  # noqa: E402
+from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel, select_section  # noqa: E402
 from bookpred.embedding import encode_hashed_bow  # noqa: E402
 from bookpred.pipeline import (  # noqa: E402
     EncoderConfig,
@@ -56,7 +60,7 @@ from bookpred.pipeline import (  # noqa: E402
     featurize_corpus,
     section_tokens,
 )
-from bookpred.textstats import counts_from_sentences  # noqa: E402
+from bookpred.textstats import counts_from_sentences, split_sentences  # noqa: E402
 
 MB = 1e6
 SEED = 5
@@ -105,21 +109,26 @@ def write_short_books(root: Path, n_books: int, seed: int) -> list:
 
 def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, float]:
     """Median seconds per stage over ``repeats`` passes over all records."""
-    stages = ("segment+tokenize", "counts", "hashed-512", "hashed-512x1")
+    stages = ("segment+tokenize", "counts", "counts-bytes", "hashed-512", "hashed-512x1")
+    first = section.k if section.kind == "first" else None
     seconds: dict[str, list[float]] = {stage: [] for stage in stages}
     for _ in range(repeats):
         totals = dict.fromkeys(seconds, 0.0)
         for record in records:
+            text = record.text_path.read_text(encoding="utf-8")
+            sentences = select_section(split_sentences(text, first), section)
             t0 = time.perf_counter()
             tokens = section_tokens(record, section)
             t1 = time.perf_counter()
             counts_from_sentences(tokens)
             t2 = time.perf_counter()
-            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=50)
+            sentences.counts()
             t3 = time.perf_counter()
-            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=1)
+            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=50)
             t4 = time.perf_counter()
-            for stage, dt in zip(totals, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            encode_hashed_bow(tokens, dim=512, seed=0, n_chunks=1)
+            t5 = time.perf_counter()
+            for stage, dt in zip(totals, np.diff([t0, t1, t2, t3, t4, t5])):
                 totals[stage] += dt
         for stage, total in totals.items():
             seconds[stage].append(total)
