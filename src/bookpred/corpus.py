@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import csv
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -274,12 +273,7 @@ class SectionSpec:
         return slice(None)
 
 
-def select_section(items: Iterable, spec: SectionSpec):
-    """The leading or trailing ``k`` items, or all of them, in order; a
-    shorter input gives all it has. A sequence, such as a list or a
-    text's ``textstats.Sentences``, is sliced with ``spec.as_slice()``;
-    an iterator is read into a list first, only its first ``k`` items
-    for ``first:K``."""
-    if isinstance(items, Iterator):
-        items = list(islice(items, spec.k) if spec.kind == "first" else items)
+def select_section(items: Sequence, spec: SectionSpec):
+    """The leading or trailing ``k`` items of a sequence (a list, a text's
+    ``textstats.Sentences``), or all of them: ``items[spec.as_slice()]``."""
     return items[spec.as_slice()]

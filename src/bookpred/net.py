@@ -109,8 +109,8 @@ class ModelConfig:
         if self.arch == "cnn":
             if not self.window_sizes:
                 raise ValueError("cnn needs at least one window size")
-            if any(w < 1 for w in self.window_sizes):
-                raise ValueError("window sizes must be positive")
+            if min(self.window_sizes) < 1 or len(set(self.window_sizes)) < len(self.window_sizes):
+                raise ValueError("window sizes must be positive and distinct")
             if max(self.window_sizes) > self.n_chunks:
                 raise ValueError(
                     f"window size {max(self.window_sizes)} exceeds n_chunks {self.n_chunks}"
@@ -129,14 +129,11 @@ class ModelConfig:
             return self.input_dim
         return self.pooled_dim + (N_READABILITY if self.use_readability else 0)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "window_sizes": list(self.window_sizes)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The inverse of ``to_dict``. Every field must be present, with a
-        value ``json_value`` accepts for its declared type; a violation is
-        a ``ValueError`` that names the key."""
+        """``asdict`` of a config, read back from JSON. Every field must be
+        present, with a value ``json_value`` accepts for its declared type; a
+        violation is a ``ValueError`` that names the key."""
         names = [f.name for f in fields(cls)]
         unknown = sorted(set(d) - set(names))
         missing = [name for name in names if name not in d]
@@ -565,7 +562,7 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     meta = {
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "extra": extra or {},
         "has_scaler": scaler is not None,
     }
@@ -597,7 +594,7 @@ def load_checkpoint(
         has_scaler = json_value("has_scaler", bool, meta["has_scaler"])
         extra = meta["extra"]
         shapes = _tensor_shapes(config)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc})") from None
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: bad metadata (extra must be an object, got {extra!r})")

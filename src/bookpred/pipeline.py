@@ -7,9 +7,9 @@ own settings, the book section, an ``EncoderConfig`` and a
 ``net.ModelConfig``. Its field defaults are the only place each default
 is written; the CLI derives its ``key=value`` keys from the same fields.
 
-``featurize_corpus`` cuts each book to its section alone, then tokenizes,
-hashes and counts a block of books at once; ``featurize_book`` is a block
-of one book.
+``featurize_corpus(corpus, cfg)`` cuts each book to its section, then
+tokenizes, hashes and counts a block of books at once, with readability
+only if ``cfg.model`` fuses it; ``featurize_book`` is a block of one book.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .embedding import chunk_average, encode_hashed_bow, load_embeddings
 from .metrics import class_f1, confusion_counts, weighted_f1
-from .net import ModelConfig, ModelParams
+from .net import N_READABILITY, ModelConfig, ModelParams
 from .readability import (
     INDEX_NAMES,
     ReadabilityScaler,
@@ -163,11 +163,9 @@ def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
     return matrix[cfg.section.as_slice()]
 
 
-def featurize_book(
-    record: BookRecord, cfg: TrainConfig, need_readability: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def featurize_book(record: BookRecord, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """Model inputs for one book: ``featurize_corpus`` of that book alone."""
-    x, readability = featurize_corpus((record,), cfg, need_readability)
+    x, readability = featurize_corpus((record,), cfg)
     return x[0], None if readability is None else readability[0]
 
 
@@ -198,28 +196,30 @@ def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
 
 
 def featurize_corpus(
-    corpus: CorpusSet, cfg: TrainConfig, need_readability: bool = True
+    corpus: CorpusSet, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Model inputs for every book, in corpus order: one preallocated
     (N, n_chunks, dim) array of the sections' chunk averages ((N, dim) for
-    book2vec, whose config fixes one chunk), plus the (N, 5) raw
-    readability scores when asked for; an external encoder without them
-    reads no text. Texts go in blocks of at most ``_BLOCK_BOOKS`` books that
-    close once past ``_BLOCK_BYTES`` text bytes, so a long book ends its
-    block. A book-by-book pass would raise the same first error."""
+    book2vec, whose config fixes one chunk), plus the (N, 5) raw readability
+    scores if ``cfg.model`` fuses them (else None); an external encoder
+    without them reads no text. Texts go in blocks of at most ``_BLOCK_BOOKS``
+    books that close once past ``_BLOCK_BYTES`` text bytes, so a long book
+    ends its block. A book-by-book pass would raise the same first error."""
     hashed = cfg.encoder.kind == "hashed"
     n_chunks = cfg.model.n_chunks
     x = np.empty((len(corpus), n_chunks, cfg.encoder.dim)) if hashed and corpus else None
-    readability = np.empty((len(corpus), net.N_READABILITY)) if need_readability else None
+    readability = np.empty((len(corpus), N_READABILITY)) if cfg.model.use_readability else None
     block: list[tuple[int, BookRecord, Sentences]] = []
+    held = 0  # text bytes of the open block
     try:
         for i, record in enumerate(corpus):
             means = None if hashed else chunk_average(_section_matrix(record, cfg), n_chunks)
-            if hashed or need_readability:
+            if hashed or readability is not None:
                 block.append((i, record, _read_section(record, cfg.section)))
-                held = sum(len(part.data) for _, _, part in block)
+                held += len(block[-1][2].data)
                 if len(block) == _BLOCK_BOOKS or held > _BLOCK_BYTES:
                     _featurize_block(block, cfg, x, readability)
+                    held = 0
             if means is not None:
                 if x is None:
                     x = np.empty((len(corpus),) + means.shape)
@@ -280,9 +280,9 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     train_set, val_set = split_train_val(corpus, cfg.val_fraction, cfg.seed)
 
     use_readability = cfg.model.use_readability
-    x_train, raw_train = featurize_corpus(train_set, cfg, need_readability=use_readability)
+    x_train, raw_train = featurize_corpus(train_set, cfg)
     model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
-    x_val, raw_val = featurize_corpus(val_set, replace(cfg, model=model_cfg), use_readability)
+    x_val, raw_val = featurize_corpus(val_set, replace(cfg, model=model_cfg))
 
     scaler = fit_scaler(raw_train) if use_readability else None
     r_train = apply_scaler(scaler, raw_train) if use_readability else None
@@ -380,7 +380,7 @@ def _eval_batches(
         raise ValueError("model uses readability but no scaler was provided")
     cfg = replace(cfg, model=mc)
     for block in _blocks(len(corpus), cfg.batch_size):
-        x, raw = featurize_corpus(corpus[block], cfg, mc.use_readability)
+        x, raw = featurize_corpus(corpus[block], cfg)
         yield x, (apply_scaler(scaler, raw) if mc.use_readability else None)
 
 
@@ -479,9 +479,7 @@ def export_book_vectors(corpus: CorpusSet, cfg: TrainConfig, out_path: str | Pat
     """Write one averaged embedding vector per book as CSV
     (book_id, genre, then the vector components): the book2vec inputs of
     ``cfg``'s section and encoder. Returns the row count."""
-    x, _ = featurize_corpus(
-        corpus, replace(cfg, model=ModelConfig(arch="book2vec")), need_readability=False
-    )
+    x, _ = featurize_corpus(corpus, replace(cfg, model=ModelConfig(arch="book2vec")))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["book_id", "genre"] + [f"v{i}" for i in range(x.shape[-1])])

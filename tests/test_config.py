@@ -1,17 +1,25 @@
 """The configuration tree: the CLI keys are the leaf fields of
 ``TrainConfig``, each parsed by its field's type, and a book2vec model
-config carries its fixed shape."""
+config carries its fixed shape. Random valid configs round-trip through
+``key=value`` text, checkpoint JSON and featurization metadata."""
 
+import json
 import re
+import struct
+import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bookpred import cli, net
+from bookpred import cli, net, pipeline
 from bookpred.corpus import SectionSpec
 from bookpred.net import ModelConfig
-from bookpred.pipeline import TrainConfig
+from bookpred.pipeline import EncoderConfig, TrainConfig
+from bookpred.readability import ReadabilityScaler
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -113,6 +121,15 @@ def test_unparsable_value_names_its_key():
         build("model.use_readability=maybe")
 
 
+@pytest.mark.parametrize("windows", ["2,2", "3,0", "1,-1"])
+def test_repeated_or_non_positive_window_sizes_exit_one(windows, tmp_path, capsys):
+    # Tensors are named by window size: two windows of one size would share
+    # one kernel and get only one of their two gradients.
+    argv = ["train", "--manifest", str(tmp_path / "m.csv"), "--out", str(tmp_path / "m.bpmd")]
+    assert cli.main(argv + ["--set", f"model.window_sizes={windows}"]) == cli.EXIT_INPUT
+    assert "window sizes must be positive and distinct" in capsys.readouterr().err
+
+
 def test_book2vec_config_carries_its_fixed_shape():
     b2v = ModelConfig(
         input_dim=8, arch="book2vec", window_sizes=(3,), filters_per_window=5,
@@ -122,3 +139,115 @@ def test_book2vec_config_carries_its_fixed_shape():
     assert (b2v.window_sizes, b2v.filters_per_window, b2v.dropout_p) == ((), 0, 0.0)
     assert (b2v.n_chunks, b2v.use_readability) == (1, False)
     assert net.init_params(b2v, seed=0).config == b2v
+
+
+_SECTIONS = st.just(SectionSpec("full")) | st.builds(
+    SectionSpec, st.sampled_from(["first", "last"]), st.integers(1, 10**6)
+)
+# Directory names with no whitespace at either end, which a key=value
+# line strips, and no NUL.
+_DIRECTORIES = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=12
+).map(Path)
+
+
+@st.composite
+def model_configs(draw, input_dim=st.just(0)):
+    """A valid cnn or book2vec config; book2vec normalises its shape."""
+    n_chunks = draw(st.integers(1, 60))
+    windows = st.lists(st.integers(1, min(n_chunks, 8)), min_size=1, max_size=4, unique=True)
+    return ModelConfig(
+        input_dim=draw(input_dim),
+        arch=draw(st.sampled_from(["cnn", "book2vec"])),
+        window_sizes=tuple(draw(windows)),
+        filters_per_window=draw(st.integers(1, 8)),
+        hidden_units=draw(st.integers(1, 16)),
+        dropout_p=draw(st.floats(0, 1, exclude_max=True)),
+        n_chunks=n_chunks,
+        use_readability=draw(st.booleans()),
+    )
+
+
+@st.composite
+def train_configs(draw):
+    """A valid run config with ``model.input_dim`` 0, as the CLI builds it."""
+    directory = draw(st.none() | _DIRECTORIES)
+    encoder = EncoderConfig(
+        dim=draw(st.integers(1 if directory else 8, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+        directory=directory,
+    )
+    return TrainConfig(
+        seed=draw(st.integers(0, 2**64)),
+        epochs=draw(st.integers(1, 10**6)),
+        batch_size=draw(st.integers(1, 10**6)),
+        val_fraction=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        section=draw(_SECTIONS),
+        encoder=encoder,
+        model=draw(model_configs()),
+    )
+
+
+def spelling(value) -> str:
+    """A leaf value as a key=value line writes it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(w) for w in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cfg=train_configs())
+def test_every_key_spelled_out_builds_the_same_config(cfg):
+    # No text spells a directory of None, so that one key is left out.
+    values = {k: v for k, v in leaves(cfg).items() if k != "model.input_dim" and v is not None}
+    assert set(values) | {"encoder.directory"} == set(cli.config_keys())
+    assert build(*(f"{key}={spelling(value)}" for key, value in values.items())) == cfg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(config=model_configs(input_dim=st.integers(1, 512)), has_scaler=st.booleans())
+def test_model_config_survives_a_checkpoint(config, has_scaler):
+    params = net.init_params(config, seed=0)
+    scaler = ReadabilityScaler(mean=np.arange(5.0), std=np.ones(5)) if has_scaler else None
+    with tempfile.TemporaryDirectory() as tmp:
+        net.save_checkpoint(Path(tmp) / "m.bpmd", params, scaler)
+        loaded, loaded_scaler, _ = net.load_checkpoint(Path(tmp) / "m.bpmd")
+    assert loaded.config == config
+    assert (loaded_scaler is None) == (scaler is None)
+    for (name, tensor), (loaded_name, loaded_tensor) in zip(params.tensors(), loaded.tensors()):
+        assert name == loaded_name
+        assert loaded_tensor.tobytes() == tensor.astype(np.float32).astype(float).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cfg=train_configs())
+def test_feature_meta_rebuilds_section_encoder_and_chunks(cfg):
+    meta = json.loads(json.dumps(pipeline.feature_meta(cfg)))  # as a checkpoint stores it
+    rebuilt = pipeline.config_from_feature_meta(meta, cfg.model, semb_dir=cfg.encoder.directory)
+    assert (rebuilt.section, rebuilt.encoder, rebuilt.model.n_chunks) == (
+        cfg.section, cfg.encoder, cfg.model.n_chunks,
+    )
+
+
+def test_checkpoint_metadata_json_is_pinned(tmp_path):
+    model = ModelConfig(
+        input_dim=8, window_sizes=(2, 3), filters_per_window=3, hidden_units=6, n_chunks=10
+    )
+    cfg = TrainConfig(
+        section=SectionSpec("last", 7), encoder=EncoderConfig(dim=8, seed=3), model=model
+    )
+    path = tmp_path / "m.bpmd"
+    scaler = ReadabilityScaler(mean=np.zeros(5), std=np.ones(5))
+    net.save_checkpoint(
+        path, net.init_params(model, seed=0), scaler, extra=pipeline.feature_meta(cfg)
+    )
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 8)
+    assert raw[12 : 12 + meta_len].decode("utf-8") == (
+        '{"config":{"arch":"cnn","dropout_p":0.6,"filters_per_window":3,"hidden_units":6,'
+        '"input_dim":8,"n_chunks":10,"use_readability":true,"window_sizes":[2,3]},'
+        '"extra":{"encoder_dim":8,"encoder_kind":"hashed","encoder_seed":3,"n_chunks":10,'
+        '"section":"last:7"},"has_scaler":true}'
+    )

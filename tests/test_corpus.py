@@ -328,12 +328,6 @@ class TestSectionSpec:
         assert select_section([], SectionSpec("first", 10)) == []
         assert select_section([], SectionSpec("last", 10)) == []
 
-    def test_first_k_of_an_iterator_takes_only_k_items(self):
-        it = iter(range(10**6))
-        assert select_section(it, SectionSpec("first", 3)) == [0, 1, 2]
-        assert next(it) == 3
-        assert select_section(iter(range(10)), SectionSpec("last", 3)) == [7, 8, 9]
-
     def test_parse_round_trip(self):
         for text in ("first:1000", "last:5", "full"):
             assert str(SectionSpec.parse(text)) == text

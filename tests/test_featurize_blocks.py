@@ -34,6 +34,7 @@ _MODELS = {
     "cnn": ModelConfig(),
     "cnn-3": ModelConfig(n_chunks=3, window_sizes=(1, 2)),
     "book2vec": ModelConfig(arch="book2vec"),
+    "cnn-no-readability": ModelConfig(use_readability=False),
 }
 # (books, bytes) a block may hold: the real caps, and small ones that make
 # every short corpus cross them.
@@ -55,12 +56,12 @@ def _corpus(root: Path, texts: list[str], n_books: int) -> tuple:
     return tuple(records)
 
 
-def _one_by_one(corpus, cfg, need_readability):
+def _one_by_one(corpus, cfg):
     """Each book featurized alone, or the first error a book raises."""
     books = []
     for record in corpus:
         try:
-            books.append(pipeline.featurize_book(record, cfg, need_readability))
+            books.append(pipeline.featurize_book(record, cfg))
         except FeaturizationError as exc:
             return str(exc)
     return books
@@ -73,24 +74,23 @@ def _one_by_one(corpus, cfg, need_readability):
     external=st.booleans(),
     model=st.sampled_from(sorted(_MODELS)),
     section=st.sampled_from(_SECTIONS),
-    need_readability=st.booleans(),
     caps=st.sampled_from(_CAPS),
 )
-@example(["one two", "three"], 40, False, "cnn", "full", True, _CAPS[0])  # past 32 books
-@example(["one two-", "three"], 4, False, "cnn-3", "full", True, _CAPS[0])
-@example(["one two'", "three"], 4, True, "book2vec", "last:1", True, _CAPS[0])
-@example(["one two’", "three"], 4, False, "book2vec", "first:1", True, _CAPS[0])
-@example(["one two.", "Three four?", "five!"], 6, False, "cnn", "first:3", True, _CAPS[0])
-@example(["\n\nblank lines. around\n\n", "\n\nnext\n\n\n"], 5, True, "cnn", "full", True, _CAPS[0])
-@example(["İstanbul İİ. iİ", "İ-İ’İ"], 5, False, "cnn-3", "last:3", True, _CAPS[0])
-@example(["𝔘𝔫𝔦 😀 𝔠𝔬𝔡𝔢. 😀", "😀x"], 5, False, "cnn", "full", True, _CAPS[0])
-@example(["good words.", "a \ud800 b."], 4, False, "cnn", "full", True, _CAPS[0])
-@example(["a \ud800 b."], 3, True, "cnn", "full", False, _CAPS[0])  # reads no text
-@example(["fine.", "— ... !", "also fine."], 6, False, "cnn", "full", True, _CAPS[0])
-@example(["word " * 30_000 + ".", "short one."], 5, False, "cnn-3", "full", True, _CAPS[0])
-def test_blocks_equal_one_book_featurization(
-    texts, n_books, external, model, section, need_readability, caps
-):
+@example(["one two", "three"], 40, False, "cnn", "full", _CAPS[0])  # past 32 books
+@example(["one two-", "three"], 4, False, "cnn-3", "full", _CAPS[0])
+@example(["one two'", "three"], 4, True, "book2vec", "last:1", _CAPS[0])
+@example(["one two'", "three"], 4, True, "cnn", "last:1", _CAPS[0])
+@example(["one two’", "three"], 4, False, "book2vec", "first:1", _CAPS[0])
+@example(["one two’", "three"], 4, False, "cnn", "first:1", _CAPS[0])
+@example(["one two.", "Three four?", "five!"], 6, False, "cnn", "first:3", _CAPS[0])
+@example(["\n\nblank lines. around\n\n", "\n\nnext\n\n\n"], 5, True, "cnn", "full", _CAPS[0])
+@example(["İstanbul İİ. iİ", "İ-İ’İ"], 5, False, "cnn-3", "last:3", _CAPS[0])
+@example(["𝔘𝔫𝔦 😀 𝔠𝔬𝔡𝔢. 😀", "😀x"], 5, False, "cnn", "full", _CAPS[0])
+@example(["good words.", "a \ud800 b."], 4, False, "cnn", "full", _CAPS[0])
+@example(["a \ud800 b."], 3, True, "cnn-no-readability", "full", _CAPS[0])  # reads no text
+@example(["fine.", "— ... !", "also fine."], 6, False, "cnn", "full", _CAPS[0])
+@example(["word " * 30_000 + ".", "short one."], 5, False, "cnn-3", "full", _CAPS[0])
+def test_blocks_equal_one_book_featurization(texts, n_books, external, model, section, caps):
     with tempfile.TemporaryDirectory() as tmp:
         corpus = _corpus(Path(tmp), texts, n_books)
         cfg = TrainConfig(
@@ -99,18 +99,18 @@ def test_blocks_equal_one_book_featurization(
             model=_MODELS[model],
         )
         with mock.patch.multiple(pipeline, _BLOCK_BOOKS=caps[0], _BLOCK_BYTES=caps[1]):
-            expected = _one_by_one(corpus, cfg, need_readability)
+            expected = _one_by_one(corpus, cfg)
             event("a book fails" if isinstance(expected, str) else "every book featurized")
             if isinstance(expected, str):
                 with pytest.raises(FeaturizationError) as info:
-                    pipeline.featurize_corpus(corpus, cfg, need_readability)
+                    pipeline.featurize_corpus(corpus, cfg)
                 assert str(info.value) == expected
                 return
-            x, readability = pipeline.featurize_corpus(corpus, cfg, need_readability)
+            x, readability = pipeline.featurize_corpus(corpus, cfg)
     assert x.shape == (len(corpus),) + expected[0][0].shape
     for i, (book_x, book_readability) in enumerate(expected):
         assert x[i].tobytes() == book_x.tobytes()
-        if need_readability:
+        if cfg.model.use_readability:
             assert readability[i].tobytes() == book_readability.tobytes()
         else:
             assert readability is None and book_readability is None
@@ -150,3 +150,20 @@ def test_long_books_are_blocks_of_their_own(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_blocks_close_past_the_byte_cap_and_count_afresh(tmp_path):
+    # Ten-byte books and a 25-byte cap: the third book of each block takes
+    # it past the cap and closes it, and the next block counts from zero.
+    corpus = _corpus(tmp_path, ["Ten bytes."], 8)
+    cfg = TrainConfig(section=SectionSpec("full"), encoder=EncoderConfig(dim=8))
+    sizes = []
+    featurize_block = pipeline._featurize_block
+
+    def recording(block, *args):
+        sizes.append(len(block))
+        featurize_block(block, *args)
+
+    with mock.patch.multiple(pipeline, _BLOCK_BYTES=25, _featurize_block=recording):
+        pipeline.featurize_corpus(corpus, cfg)
+    assert sizes == [3, 3, 2]

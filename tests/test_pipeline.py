@@ -317,10 +317,11 @@ class TestSinglePassFeaturization:
                 matrix = np.array(select_section(semb, cfg.section))
             if arch == "book2vec":
                 assert x[i].tobytes() == book_average(matrix).tobytes()
+                assert raw is None  # a book2vec model fuses no readability
             else:
                 assert x[i].tobytes() == chunk_average(matrix, cfg.model.n_chunks).tobytes()
-            expected = readability_vector(ref.counts_from_sentences(sentences))
-            assert raw[i].tobytes() == expected.tobytes()
+                expected = readability_vector(ref.counts_from_sentences(sentences))
+                assert raw[i].tobytes() == expected.tobytes()
 
 
 class TestOneTokenizationPerBook:
@@ -337,7 +338,7 @@ class TestOneTokenizationPerBook:
         monkeypatch.setattr(textstats.Sentences, "tokens", counting)
         monkeypatch.setattr(textstats, "tokenize_sentences", None)
         monkeypatch.setattr(embedding, "tokenize_sentences", None)
-        pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
+        pipeline.featurize_corpus(tiny_corpus, cfg)
         # One block of all 24 books, which holds each book's section once.
         assert [len(spans) for spans in calls] == [17 * len(tiny_corpus)]
         sections = [
@@ -358,7 +359,7 @@ class TestOneTokenizationPerBook:
         monkeypatch.setattr(textstats.Sentences, "tokens", refuse)
         monkeypatch.setattr(textstats, "tokenize_sentences", None)
         monkeypatch.setattr(embedding, "tokenize_sentences", None)
-        _, raw = pipeline.featurize_corpus(tiny_corpus, cfg, need_readability=True)
+        _, raw = pipeline.featurize_corpus(tiny_corpus, cfg)
         for i, record in enumerate(tiny_corpus):
             text = record.text_path.read_text(encoding="utf-8")
             sentences = select_section(ref.segment_sentences(text), cfg.section)
