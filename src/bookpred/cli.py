@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: readability, featurize, train, eval, mcnemar, attribute,
-export-vectors. Options can come from a key=value config file
-(``--config``, ``#`` comments allowed) merged with command-line flags;
-flags win, unknown keys are errors. The keys are the dotted field paths
-of ``pipeline.TrainConfig`` (``epochs``, ``encoder.dim``,
-``model.dropout_p``, ...), each parsed by its field's type. Exit codes:
-0 success, 1 input error, 2 internal or numeric error.
+export-vectors. Options can come from a key=value config file (``--config``,
+``#`` comments allowed) merged with command-line flags; flags win, unknown
+keys are errors. The keys are the dotted field paths of ``pipeline.TrainConfig``
+(``epochs``, ``encoder.dim``, ...), each parsed by its type's entry in
+``net.LEAF_TYPES``. Errors in a checkpoint's featurization name the
+checkpoint. Exit codes: 0 success, 1 input error, 2 internal or numeric error.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import argparse
 import csv
 import os
 import sys
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from . import net, pipeline
-from .corpus import SectionSpec, SuccessLabel, load_corpus
+from .corpus import SuccessLabel, load_corpus
 from .embedding import SembError, encode_hashed_bow, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError
@@ -52,37 +50,12 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-# How a config value of each leaf field type is read from text; a
-# dataclass field of any other type is a sub-config whose fields are keys.
-_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    bool: _parse_bool,
-    Path | None: Path,
-    SectionSpec: SectionSpec.parse,
-    tuple[int, ...]: lambda text: tuple(int(w) for w in text.split(",") if w.strip()),
-}
-
-
-def config_keys(cls=TrainConfig, prefix: str = "") -> dict[str, type]:
+def config_keys() -> dict[str, type]:
     """Every config key (the dotted path of a leaf field of ``TrainConfig``)
     and its type. ``model.input_dim`` is no key: training sets it."""
     keys: dict[str, type] = {}
-    for name, kind in typing.get_type_hints(cls).items():
-        key = prefix + name
-        if kind not in _PARSERS:
-            keys.update(config_keys(kind, key + "."))
-        elif key != "model.input_dim":
-            keys[key] = kind
+    net.build_config(TrainConfig, lambda key, kind: keys.update({key: kind}))  # records each leaf
+    del keys["model.input_dim"]
     return keys
 
 
@@ -110,34 +83,28 @@ def _merged_options(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
-def _with_options(cfg, options: dict[str, str], prefix: str = ""):
-    """``cfg`` with every option under ``prefix`` parsed by its field type;
-    each sub-config is rebuilt once, with all of its options applied, so
-    its own checks see the final values."""
-    changes = {}
-    for name, kind in typing.get_type_hints(type(cfg)).items():
-        key = prefix + name
-        if kind not in _PARSERS:
-            changes[name] = _with_options(getattr(cfg, name), options, key + ".")
-        elif key in options:
-            try:
-                changes[name] = _PARSERS[kind](options[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-    return replace(cfg, **changes)
+def _config(options: dict[str, str]) -> TrainConfig:
+    """``TrainConfig()`` with each option parsed by its field's type."""
+
+    def read(key, kind):
+        try:
+            return net.LEAF_TYPES[kind][0](options[key]) if key in options else None
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+
+    return net.build_config(TrainConfig, read)
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
     """``TrainConfig()`` with the config file, ``--set`` and flag values applied."""
-    return _with_options(TrainConfig(), _merged_options(args))
+    return _config(_merged_options(args))
 
 
 def _featurize_config(args: argparse.Namespace) -> TrainConfig:
     """The config of a command that builds no model (featurize,
     export-vectors): ``model.*`` keys are accepted but not applied, so a
     model setting that only training would reject cannot stop it."""
-    options = {k: v for k, v in _merged_options(args).items() if not k.startswith("model.")}
-    return _with_options(TrainConfig(), options)
+    return _config({k: v for k, v in _merged_options(args).items() if not k.startswith("model.")})
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
@@ -249,7 +216,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_eval_inputs(args: argparse.Namespace):
     params, scaler, meta = net.load_checkpoint(args.checkpoint)
     semb_dir = Path(args.semb_dir) if getattr(args, "semb_dir", None) else None
-    cfg = pipeline.config_from_feature_meta(meta, params.config, semb_dir=semb_dir)
+    try:
+        cfg = pipeline.config_from_feature_meta(meta, params.config, semb_dir=semb_dir)
+    except net.CheckpointError as exc:
+        raise net.CheckpointError(f"{args.checkpoint}: {exc}") from None
     corpus = load_corpus(args.manifest)
     return params, scaler, cfg, corpus
 

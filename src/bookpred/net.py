@@ -10,9 +10,10 @@ checkpoint format:
 * ``book2vec`` — the same dense head applied directly to one averaged
   book vector.
 
-``ModelConfig`` is the one model configuration type: its field defaults
-are the paper's hyperparameters, ``pipeline.TrainConfig.model`` holds
-one, and checkpoints store it.
+``ModelConfig`` is the one model configuration type: its field defaults are
+the paper's hyperparameters, ``pipeline.TrainConfig.model`` holds one, and
+checkpoints store it. One codec (``LEAF_TYPES``, ``build_config``,
+``from_json``) reads every config tree from CLI text and from checkpoint JSON.
 
 Every pass runs batch-first, one array pass per (B, n_chunks, dim)
 mini-batch; a single example is the B = 1 case. The convolution is one
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, SuccessLabel
+from .corpus import LABEL_ORDER, SectionSpec, SuccessLabel
 from .embedding import write_atomically
 from .readability import ReadabilityScaler
 
@@ -44,7 +45,9 @@ __all__ = [
     "AdamState",
     "ForwardCache",
     "CheckpointError",
-    "json_value",
+    "LEAF_TYPES",
+    "build_config",
+    "from_json",
     "init_params",
     "forward",
     "loss",
@@ -131,30 +134,67 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """``asdict`` of a config, read back from JSON. Every field must be
-        present, with a value ``json_value`` accepts for its declared type; a
-        violation is a ``ValueError`` that names the key."""
+        """``asdict`` of a config, read back from JSON by ``from_json``. Every
+        field must be present; a violation is a ``ValueError`` naming the key."""
         names = [f.name for f in fields(cls)]
         unknown = sorted(set(d) - set(names))
         missing = [name for name in names if name not in d]
         if unknown or missing:
             raise ValueError(f"model config keys unknown: {unknown}, missing: {missing}")
-        hints = typing.get_type_hints(cls)
-        return cls(**{name: json_value(name, hints[name], d[name]) for name in names})
+        return build_config(cls, lambda key, kind: from_json(key, kind, d[key]))
 
 
-def json_value(key: str, kind, value):
-    """``value`` read from JSON as a ``kind`` field (a list for a tuple):
-    an int field takes an int and not a bool, a float field an int or a
-    float, a bool field a bool. A violation is a ``ValueError`` naming ``key``."""
-    if typing.get_origin(kind) is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{key} must be a list, got {value!r}")
-        return tuple(json_value(key, typing.get_args(kind)[0], v) for v in value)
-    allowed = (int, float) if kind is float else (kind,)
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() in ("true", "1", "yes")
+
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("expected a value, got ''")
+    return text
+
+
+# A config field whose type is a key here is a leaf, any other field a sub-config. Each leaf
+# type maps to its key=value text parser and the JSON types its value may be stored as.
+LEAF_TYPES = {
+    int: (int, (int,)),
+    float: (float, (int, float)),
+    str: (_nonempty, (str,)),
+    bool: (_parse_bool, (bool,)),
+    Path | None: (lambda text: Path(_nonempty(text)), (str,)),
+    SectionSpec: (SectionSpec.parse, (str,)),
+    tuple[int, ...]: (lambda text: tuple(int(w) for w in text.split(",") if w.strip()), (list,)),
+}
+
+
+def build_config(cls, read, prefix: str = ""):
+    """A ``cls`` whose leaf ``key`` of type ``kind`` is ``read(key, kind)``,
+    or its field default when that is None. Each sub-config is built once,
+    with all of its values, so its own checks see the final values."""
+    values = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        key = prefix + name
+        value = read(key, kind) if kind in LEAF_TYPES else build_config(kind, read, key + ".")
+        if value is not None:
+            values[name] = value
+    return cls(**values)
+
+
+def from_json(key: str, kind, value):
+    """``value`` read from JSON as a ``kind`` leaf: its JSON type must be one
+    ``LEAF_TYPES`` allows (a bool is no int), and a list's items are ints. A
+    violation is a ``ValueError`` that names ``key``."""
+    parse, allowed = LEAF_TYPES[kind]
     if type(value) not in allowed:
-        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
+        raise ValueError(f"{key} must be {'/'.join(t.__name__ for t in allowed)}, got {value!r}")
+    if kind == tuple[int, ...]:
+        return tuple(from_json(key, int, item) for item in value)
+    try:
+        return parse(value) if type(value) is str else value
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -591,7 +631,7 @@ def load_checkpoint(
     try:
         meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
-        has_scaler = json_value("has_scaler", bool, meta["has_scaler"])
+        has_scaler = from_json("has_scaler", bool, meta["has_scaler"])
         extra = meta["extra"]
         shapes = _tensor_shapes(config)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:

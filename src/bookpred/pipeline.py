@@ -563,16 +563,6 @@ def attribution_text(report: AttributionReport) -> str:
 # ----------------------------------------------------------------------
 
 
-# Each featurization key stored in a checkpoint and the type its value must have.
-_FEATURE_META_TYPES = {
-    "section": str,
-    "n_chunks": int,
-    "encoder_kind": str,
-    "encoder_dim": int,
-    "encoder_seed": int,
-}
-
-
 def feature_meta(cfg: TrainConfig) -> dict:
     return {
         "section": str(cfg.section),
@@ -589,40 +579,39 @@ def config_from_feature_meta(
     semb_dir: Path | None = None,
 ) -> TrainConfig:
     """The TrainConfig eval needs, rebuilt from a checkpoint's model config
-    and featurization metadata; ``semb_dir`` supplies the .semb directory
-    an external encoder needs (it is not stored in checkpoints) and is not
-    used for a hashed one. A missing key, or a value ``net.json_value``
-    rejects, is a ``net.CheckpointError`` that names the key. The model
-    config is the one source of ``n_chunks``: a cnn's stored copy must
-    agree with it, and a book2vec's is not read (older files store 50 there)."""
-    missing = [key for key in _FEATURE_META_TYPES if key not in meta]
+    and featurization metadata; ``semb_dir`` supplies the .semb directory an
+    external encoder needs (it is not stored in checkpoints) and is not used for
+    a hashed one. Each value is stored under its config key with ``_`` for ``.``
+    and read by ``net.from_json``; a missing, mistyped or rejected one is a
+    ``net.CheckpointError``. The model config is the one source of ``n_chunks``: a
+    cnn's stored copy must agree with it, and a book2vec's is not read (older files store 50)."""
+    stored = feature_meta(TrainConfig())
+    missing = [key for key in stored if key not in meta]
     if missing:
-        raise net.CheckpointError(
-            f"checkpoint featurization metadata lacks {', '.join(missing)}"
-        )
-    for key, kind in _FEATURE_META_TYPES.items():
-        try:
-            net.json_value(key, kind, meta[key])
-        except ValueError as exc:
-            raise net.CheckpointError(f"checkpoint featurization metadata {exc}") from None
-    if model_config.arch == "cnn" and meta["n_chunks"] != model_config.n_chunks:
-        raise net.CheckpointError(
-            f"checkpoint featurization n_chunks {meta['n_chunks']} differs from "
-            f"its model's {model_config.n_chunks}"
-        )
+        raise net.CheckpointError(f"checkpoint featurization metadata lacks {', '.join(missing)}")
     kind = meta["encoder_kind"]
     if kind not in ("hashed", "external"):
-        raise net.CheckpointError(
-            f"checkpoint featurization metadata encoder_kind must be 'hashed' or "
-            f"'external', got {kind!r}"
-        )
+        raise net.CheckpointError(f"checkpoint featurization encoder_kind {kind!r} is unknown")
     if kind == "external" and semb_dir is None:
         raise ValueError("external encoder needs a directory of .semb files")
-    encoder = EncoderConfig(
-        dim=meta["encoder_dim"],
-        seed=meta["encoder_seed"],
-        directory=semb_dir if kind == "external" else None,
-    )
-    return TrainConfig(
-        section=SectionSpec.parse(meta["section"]), encoder=encoder, model=model_config
-    )
+    held: dict = {}  # the stored values read: a config check's own error names no stored key
+
+    def read(key, leaf_type):
+        if key.startswith("model."):
+            return getattr(model_config, key[len("model."):])
+        if key == "encoder.directory":
+            return semb_dir if kind == "external" else None
+        name = key.replace(".", "_")
+        if name not in stored:
+            return None
+        held[name] = meta[name]
+        return net.from_json(name, leaf_type, meta[name])
+
+    try:
+        cfg = net.build_config(TrainConfig, read)
+        n_chunks = net.from_json("n_chunks", int, meta["n_chunks"])
+        if model_config.arch == "cnn" and n_chunks != model_config.n_chunks:
+            raise ValueError(f"n_chunks {n_chunks} is not its model's {model_config.n_chunks}")
+    except ValueError as exc:
+        raise net.CheckpointError(f"bad checkpoint featurization: {exc} (read {held})") from None
+    return cfg

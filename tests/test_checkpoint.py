@@ -50,6 +50,16 @@ def test_feature_meta_type_names_key(key):
         pipeline.config_from_feature_meta(meta, tiny_config(input_dim=64))
 
 
+# Well-typed featurization values that the config rejects: no such section,
+# and a hashed encoder narrower than 8.
+@pytest.mark.parametrize("key, value", [("section", "middle:3"), ("encoder_dim", 4)])
+def test_feature_meta_of_right_type_but_bad_content_names_key(key, value):
+    cfg = TrainConfig(encoder=EncoderConfig(dim=64), model=ModelConfig(n_chunks=10))
+    meta = {**pipeline.feature_meta(cfg), key: value}
+    with pytest.raises(net.CheckpointError, match=key):
+        pipeline.config_from_feature_meta(meta, tiny_config(input_dim=64))
+
+
 def test_feature_meta_of_right_types_round_trips():
     cfg = TrainConfig(encoder=EncoderConfig(dim=64, seed=3), model=ModelConfig(n_chunks=10))
     rebuilt = pipeline.config_from_feature_meta(
@@ -116,9 +126,11 @@ def test_scaler_flag_of_wrong_type_is_rejected(tmp_path, value):
         {"window_sizes": [2.0, 3]},
         {"use_readability": "yes"},
         {"input_dim": 0},
+        {"dropout_p": "0.6"},
+        {"arch": 1},
     ],
     ids=["input_dim_float", "hidden_units_float", "window_sizes_float", "use_readability_str",
-         "input_dim_zero"],
+         "input_dim_zero", "dropout_p_str", "arch_int"],
 )
 def test_config_value_of_wrong_type_names_key(tmp_path, edit):
     path = tmp_path / "m.bpmd"

@@ -359,6 +359,8 @@ class TestTrainEvalFlow:
             ("encoder_dim", "64"),
             ("encoder_seed", 1.5),
             ("extra", "first:1000"),
+            ("section", "middle:3"),  # well typed, but no section
+            ("encoder_dim", 4),  # well typed, but too narrow for the hashed encoder
         ],
     )
     def test_checkpoint_mistyped_featurization_value_exits_one(
@@ -384,6 +386,7 @@ class TestTrainEvalFlow:
         )
         assert code == 1
         assert err.startswith("error:") and key in err
+        assert str(broken) in err
 
     def test_checkpoint_mistyped_config_value_exits_one(
         self, corpus_dir, checkpoint, tmp_path, capsys

@@ -7,6 +7,7 @@ import json
 import re
 import struct
 import tempfile
+import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -114,6 +115,65 @@ def test_readme_run_cfg_keys_are_accepted(tmp_path):
     for line in lines:
         key, _, text = line.partition("=")
         assert str(cfg[key]).lower() == text.lower()
+
+
+# The sub-config types of the tree; a field of any other type is a leaf.
+SUB_CONFIGS = (TrainConfig, EncoderConfig, ModelConfig)
+
+# One bad key=value text per leaf type, and a key of that type. No text is
+# an unparsable str or path, so an empty value is their bad text.
+BAD_TEXT = {
+    int: ("epochs", "ten"),
+    float: ("val_fraction", "half"),
+    str: ("model.arch", ""),
+    bool: ("model.use_readability", "maybe"),
+    Path | None: ("encoder.directory", ""),
+    SectionSpec: ("section", "middle:3"),
+    tuple[int, ...]: ("model.window_sizes", "2,x"),
+}
+
+# One bad JSON value per leaf type, and a key of that type. Checkpoints store
+# no directory, so ``encoder.directory`` is read from JSON only here;
+# tests/test_checkpoint.py reads the others from a checkpoint.
+BAD_JSON = {
+    int: ("epochs", True),
+    float: ("val_fraction", "0.2"),
+    str: ("model.arch", None),
+    bool: ("model.use_readability", 1),
+    Path | None: ("encoder.directory", ["vecs"]),
+    SectionSpec: ("section", "middle:3"),
+    tuple[int, ...]: ("model.window_sizes", [2, "3"]),
+}
+
+
+def leaf_types(cls) -> list:
+    """The type of every leaf field reachable from ``cls``."""
+    kinds = []
+    for kind in typing.get_type_hints(cls).values():
+        kinds += leaf_types(kind) if kind in SUB_CONFIGS else [kind]
+    return kinds
+
+
+def test_leaf_type_table_has_no_dead_or_missing_entry():
+    assert len(leaf_types(TrainConfig)) == 16  # the 15 keys and model.input_dim
+    assert set(net.LEAF_TYPES) == set(leaf_types(TrainConfig)) == set(BAD_TEXT) == set(BAD_JSON)
+    assert set(cli.config_keys().values()) == set(net.LEAF_TYPES)
+
+
+@pytest.mark.parametrize("kind", list(BAD_TEXT), ids=[key for key, _ in BAD_TEXT.values()])
+def test_bad_text_of_each_leaf_type_names_its_key(kind):
+    key, text = BAD_TEXT[kind]
+    assert cli.config_keys()[key] == kind
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(key)}[: ]"):  # the key comes first
+        build(f"{key}={text}")
+
+
+@pytest.mark.parametrize("kind", list(BAD_JSON), ids=[key for key, _ in BAD_JSON.values()])
+def test_bad_json_of_each_leaf_type_names_its_key(kind):
+    key, value = BAD_JSON[kind]
+    assert cli.config_keys()[key] == kind
+    with pytest.raises(ValueError, match=f"^{re.escape(key)}[: ]"):
+        net.from_json(key, kind, value)
 
 
 def test_unparsable_value_names_its_key():

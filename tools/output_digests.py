@@ -9,8 +9,9 @@ plus a few hand-written texts that sit on the text rules (Unicode
 separators, quoted abbreviations, a blank line with a carriage return, a
 text without words), each with a seeded noise ``.semb`` file. It then runs
 ``bookpred.cli.main`` in-process, from the ``src/`` of the checkout it lives
-in, for train (cnn at hashed dim 512, book2vec, a ``last:17`` section, and
-external ``.semb`` vectors at dim 64), eval, attribute for both targets,
+in, for train (cnn at hashed dim 512, book2vec, a ``last:17`` section,
+external ``.semb`` vectors at dim 64, and a ``--config`` file that sets a
+key of every leaf type but a path), eval, attribute for both targets,
 eval and attribute of the ``.semb`` model on its corpus plus the hand-written
 texts with words, mcnemar of the dim-512 cnn against book2vec and against
 ``last:17``, featurize, export-vectors with the hashed and the ``.semb``
@@ -57,6 +58,22 @@ ODD_TEXTS = {
     "nowords": "... !!! ???\n\n— .",
 }
 
+# A --config file with a value of every leaf type but a path.
+RUN_CFG = """# seeded small cnn
+model.arch=cnn
+epochs=3
+batch_size=8
+val_fraction=0.25
+section=first:30
+encoder.dim=64
+encoder.seed=7
+model.window_sizes=2,4
+model.filters_per_window=4
+model.hidden_units=8
+model.dropout_p=0.5
+model.use_readability=no
+"""
+
 
 def _write_manifest(path: Path, fieldnames: list[str], rows: list[dict]) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -90,6 +107,7 @@ def build_inputs(out: Path) -> dict[str, Path]:
         odd_rows.append({"book_id": name, "genre": "Poetry", "avg_rating": "",
                          "n_ratings": "", "label": ("Successful", "Unsuccessful")[i % 2],
                          "text_path": str(Path("books") / path.name)})
+    (out / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
     with_words = [r for r in odd_rows if r["book_id"] != "nowords"]
     semb_odd = [dict(r, text_path=str(Path("..", "heldout", r["text_path"]))) for r in with_words]
     return {
@@ -100,6 +118,7 @@ def build_inputs(out: Path) -> dict[str, Path]:
         "semb_odd": _write_manifest(out / "semb" / "odd.csv", fields, semb_rows + semb_odd),
         "semb_dir": out / "semb" / "semb",
         "odd": out / "heldout" / "books",
+        "cfg": out / "run.cfg",
     }
 
 
@@ -117,6 +136,7 @@ def runs(inputs: dict[str, Path], runs_dir: Path) -> list[tuple[str, list[str]]]
                             "--set", "epochs=4", *small],
         "semb64": ["--manifest", str(inputs["semb"]), "--seed", "5",
                    "--semb-dir", str(inputs["semb_dir"]), "--set", "epochs=4", *small],
+        "cfg": hashed + ["--config", str(inputs["cfg"])],
     }
     commands = [
         (f"train_{model}", ["train", *argv, "--out", str(runs_dir / f"train_{model}.bpmd"),
@@ -132,8 +152,8 @@ def runs(inputs: dict[str, Path], runs_dir: Path) -> list[tuple[str, list[str]]]
         commands.append((f"eval_{model}", ["eval", "--checkpoint", checkpoint, *data,
                                            "--out", str(runs_dir / f"eval_{model}.csv"),
                                            "--preds", str(runs_dir / f"preds_{model}.csv")]))
-        if model == "book2vec":
-            continue  # book2vec has no readability input
+        if model in ("book2vec", "cfg"):
+            continue  # neither model has a readability input
         for target in ("logit", "probability"):
             name = f"attribute_{model}_{target}"
             commands.append((name, ["attribute", "--checkpoint", checkpoint, *data,
