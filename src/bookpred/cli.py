@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
-_READABILITY_HEADER = ["book_id", "W", "C", "S", "L", "P"] + list(INDEX_NAMES)
+_READABILITY_HEADER = ["book_id", *pipeline.COUNT_COLUMNS, *INDEX_NAMES]
 
 
 class ConfigError(ValueError):
@@ -120,20 +120,11 @@ def cmd_readability(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _counts_row(book_id: str, counts) -> list[str]:
-    row = [
-        book_id,
-        str(counts.words),
-        str(counts.characters),
-        str(counts.sentences),
-        str(counts.syllables),
-        str(counts.polysyllables),
-    ]
+def _counts_row(book_id: str, counts) -> list:
+    row = [book_id, *vars(counts).values()]
     if counts.words > 0 and counts.sentences > 0:
-        row += [repr(v) for v in readability_vector(counts).tolist()]
-    else:
-        row += ["NA"] * len(INDEX_NAMES)
-    return row
+        return row + [repr(v) for v in readability_vector(counts).tolist()]
+    return row + ["NA"] * len(INDEX_NAMES)
 
 
 def _featurize_one(task) -> tuple[list, list] | str:
@@ -148,26 +139,29 @@ def _featurize_one(task) -> tuple[list, list] | str:
         matrix = encode_hashed_bow(tokens, dim=encoder.dim, seed=encoder.seed)
         semb_path = Path(out_dir) / f"{record.book_id}.semb"
         write_embeddings(matrix, semb_path)
-        readability_row = _counts_row(record.book_id, counts_from_sentences(tokens))
+        counts = counts_from_sentences(tokens)
+        store_row = pipeline.store_row(record, semb_path, encoder.dim, section, counts)
+        return _counts_row(record.book_id, counts), store_row
     except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
         return str(exc)
-    featurized_row = [record.book_id, record.genre.value, record.label.value,
-                      str(semb_path), len(tokens), encoder.dim]
-    return readability_row, featurized_row
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     cfg = _featurize_config(args)
-    if cfg.encoder.kind != "hashed":
-        raise ConfigError("featurize produces .semb files and only supports the hashed encoder")
     corpus = load_corpus(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [(record, cfg.encoder, cfg.section, str(out_dir)) for record in corpus]
-    if args.jobs == 1:
+    if cfg.encoder.kind != "hashed":  # no vectors: the sections are counted in blocks
+        semb_dir = cfg.encoder.directory
+        results = [str(c) if isinstance(c, FeaturizationError) else (
+            _counts_row(r.book_id, c),
+            pipeline.store_row(r, semb_dir / f"{r.book_id}.semb", "", cfg.section, c),
+        ) for r, c in zip(corpus, pipeline.section_counts(corpus, cfg.section))]
+    elif args.jobs == 1:
         results = [_featurize_one(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -176,11 +170,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     failures = []
     with (
         open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as r_fh,
-        open(out_dir / "featurized.csv", "w", encoding="utf-8", newline="") as f_fh,
+        open(out_dir / pipeline.STORE_NAME, "w", encoding="utf-8", newline="") as f_fh,
     ):
         readability_csv, featurized_csv = csv.writer(r_fh), csv.writer(f_fh)
         readability_csv.writerow(_READABILITY_HEADER)
-        featurized_csv.writerow(["book_id", "genre", "label", "semb_path", "n_sentences", "dim"])
+        featurized_csv.writerow(pipeline.STORE_COLUMNS)
         for record, result in zip(corpus, results):
             if isinstance(result, str):
                 failures.append((record.book_id, result))
@@ -220,6 +214,8 @@ def _load_eval_inputs(args: argparse.Namespace):
         cfg = pipeline.config_from_feature_meta(meta, params.config, semb_dir=semb_dir)
     except net.CheckpointError as exc:
         raise net.CheckpointError(f"{args.checkpoint}: {exc}") from None
+    except ValueError as exc:  # an external encoder's checkpoint, run without its vectors
+        raise ValueError(f"{args.checkpoint}: {exc}; pass them with --semb-dir") from None
     corpus = load_corpus(args.manifest)
     return params, scaler, cfg, corpus
 
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", help="UTF-8 text files")
     p.set_defaults(func=cmd_readability)
 
-    p = sub.add_parser("featurize", help="write per-book .semb files and readability CSV")
+    p = sub.add_parser("featurize", help="write readability.csv, featurized.csv, hashed .semb")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

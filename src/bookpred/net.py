@@ -165,7 +165,7 @@ LEAF_TYPES = {
     bool: (_parse_bool, (bool,)),
     Path | None: (lambda text: Path(_nonempty(text)), (str,)),
     SectionSpec: (SectionSpec.parse, (str,)),
-    tuple[int, ...]: (lambda text: tuple(int(w) for w in text.split(",") if w.strip()), (list,)),
+    tuple[int, ...]: (lambda text: tuple(int(w) for w in text.split(",")) if text else (), (list,)),
 }
 
 

@@ -10,11 +10,15 @@ is written; the CLI derives its ``key=value`` keys from the same fields.
 ``featurize_corpus(corpus, cfg)`` cuts each book to its section, then
 tokenizes, hashes and counts a block of books at once, with readability
 only if ``cfg.model`` fuses it; ``featurize_book`` is a block of one book.
+An external encoder's counts come from ``section_counts`` and its store.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
+import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,7 +44,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import Sentences, Tokens, counts_from_sentences, split_sentences
+from .textstats import Sentences, TextCounts, Tokens, counts_from_sentences, split_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -53,6 +57,8 @@ __all__ = [
     "FeaturizationError",
     "TrainingDivergedError",
     "section_tokens",
+    "section_counts",
+    "store_row",
     "featurize_corpus",
     "train",
     "predict_corpus",
@@ -71,6 +77,11 @@ __all__ = [
 
 _BLOCK_BOOKS = 32  # most books featurized in one text pass
 _BLOCK_BYTES = 1 << 18  # a block closes once its books hold more text bytes
+
+STORE_NAME = "featurized.csv"  # in a .semb directory, the stored counts of its books
+COUNT_COLUMNS = ["W", "C", "S", "L", "P"]  # the five TextCounts, as readability.csv names them
+STORE_COLUMNS = ["book_id", "genre", "label", "semb_path", "n_sentences", "dim",
+                 "text_sha256", "section", *COUNT_COLUMNS]
 
 
 class FeaturizationError(RuntimeError):
@@ -169,30 +180,108 @@ def featurize_book(record: BookRecord, cfg: TrainConfig) -> tuple[np.ndarray, np
     return x[0], None if readability is None else readability[0]
 
 
+def _scores(record: BookRecord, counts) -> np.ndarray:
+    """A book's readability scores; an error in place of its counts raises."""
+    if isinstance(counts, FeaturizationError):
+        raise counts
+    try:
+        return readability_vector(counts)
+    except ValueError as exc:
+        raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
+
+
+def _section_blocks(corpus: CorpusSet, section: SectionSpec, store: dict):
+    """Blocks of consecutive (corpus index, record, section) triples, closed
+    after ``_BLOCK_BOOKS`` books or past ``_BLOCK_BYTES`` text bytes. A book's
+    ``store`` counts stand in for its section if the row is for ``section`` and
+    its text hashes as the row says; its error does, and closes the block."""
+    block = []
+    held = 0
+    for i, record in enumerate(corpus):
+        row_section, digest, part = store.get(record.book_id, (None, None, None))
+        try:
+            if row_section != section:
+                part = _read_section(record, section)
+                held += len(part.data)
+            elif hashlib.sha256(record.text_path.read_bytes()).hexdigest() != digest:
+                raise FeaturizationError(f"book {record.book_id}: text changed since {STORE_NAME} "
+                                         "stored its counts; its vectors are of the old text")
+        except OSError as exc:
+            part = FeaturizationError(f"book {record.book_id}: cannot read text ({exc})")
+        except FeaturizationError as exc:
+            part = exc
+        block.append((i, record, part))
+        if isinstance(part, Exception) or len(block) == _BLOCK_BOOKS or held > _BLOCK_BYTES:
+            yield block
+            block = []
+            held = 0
+    yield block
+
+
 def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
-    """Write the hashed ``x`` rows and the ``readability`` rows of ``block``,
-    consecutive (corpus index, record, section) triples, from one pass over
-    the joined sections, and empty it; the first book without scores
-    raises. Words are numbered only for the hashed encoder; an external
-    one's counts come straight from the bytes."""
-    if not block:
-        return
-    indices, records, parts = zip(*block)
-    block.clear()
-    sentences, books = Sentences.join(parts), [len(part) for part in parts]
-    if cfg.encoder.kind != "hashed":
-        book_counts = sentences.counts(books)
-    else:
-        tokens = sentences.tokens()
+    """Write the hashed ``x`` rows and the ``readability`` rows of a block's
+    books in one pass over their joined sections, and empty it (its sections
+    are freed on return); then raise its error."""
+    error = block.pop()[2] if block and isinstance(block[-1][2], Exception) else None
+    if block:
+        indices, records, parts = zip(*block)
+        block.clear()
+        tokens, books = Sentences.join(parts).tokens(), [len(part) for part in parts]
         enc, rows = cfg.encoder, x[indices[0] : indices[-1] + 1]
         encode_hashed_bow(tokens, enc.dim, enc.seed, cfg.model.n_chunks, books, rows)
-        book_counts = counts_from_sentences(tokens, books) if readability is not None else []
-    if readability is not None:
-        for i, record, counts in zip(indices, records, book_counts):
-            try:
-                readability[i] = readability_vector(counts)
-            except ValueError as exc:
-                raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
+        if readability is not None:
+            for i, record, counts in zip(indices, records, counts_from_sentences(tokens, books)):
+                readability[i] = _scores(record, counts)
+    if error:
+        raise error
+
+
+def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | None = None) -> list:
+    """Each book's ``TextCounts`` of ``section``, or its ``FeaturizationError``:
+    books fail independently. A book's counts in the store of a .semb
+    ``directory`` are used as they are; a block of others is counted at once."""
+    path = directory and Path(directory) / STORE_NAME
+    store = _parse_store(path, path.read_bytes()) if path and path.exists() else {}
+    results = []
+    for block in _section_blocks(corpus, section, store):
+        parts = [part for _, _, part in block if isinstance(part, Sentences)]
+        counts = iter(Sentences.join(parts).counts([len(p) for p in parts]) if parts else ())
+        results += [next(counts) if isinstance(part, Sentences) else part for _, _, part in block]
+    return results
+
+
+def store_row(record: BookRecord, semb_path, dim, section, counts) -> list:
+    """A book's store row: its ``counts`` of ``section``, pinned by the sha256
+    of its text file as it is now, beside its vectors' path and dim."""
+    digest = hashlib.sha256(record.text_path.read_bytes()).hexdigest()
+    return [record.book_id, record.genre.value, record.label.value, str(semb_path),
+            counts.sentences, dim, digest, str(section), *vars(counts).values()]
+
+
+@functools.lru_cache(maxsize=4)
+def _parse_store(path: Path, data: bytes) -> dict:
+    """book_id -> (section, text_sha256, counts) of each row of the store
+    ``data`` read from ``path``; a fault is a ``ValueError`` naming the line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {data[: exc.start].count(10) + 1}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows: dict = {}
+    try:
+        if not set(STORE_COLUMNS) <= set(reader.fieldnames or ()):
+            raise ValueError(f"a store needs the columns {','.join(STORE_COLUMNS)}")
+        for row in reader:
+            if None in row or None in row.values() or row["book_id"] in rows:
+                raise ValueError("wrong number of fields, or a repeated book_id")
+            counts = [int(row[name]) for name in COUNT_COLUMNS]
+            if min(counts) < 0:
+                raise ValueError(f"negative count in {counts}")
+            section = net.from_json("section", SectionSpec, row["section"])
+            rows[row["book_id"]] = (section, row["text_sha256"], TextCounts(*counts))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def featurize_corpus(
@@ -201,39 +290,31 @@ def featurize_corpus(
     """Model inputs for every book, in corpus order: one preallocated
     (N, n_chunks, dim) array of the sections' chunk averages ((N, dim) for
     book2vec, whose config fixes one chunk), plus the (N, 5) raw readability
-    scores if ``cfg.model`` fuses them (else None); an external encoder
-    without them reads no text. Texts go in blocks of at most ``_BLOCK_BOOKS``
-    books that close once past ``_BLOCK_BYTES`` text bytes, so a long book
-    ends its block. A book-by-book pass would raise the same first error."""
-    hashed = cfg.encoder.kind == "hashed"
+    scores if ``cfg.model`` fuses them (else None), which an external encoder
+    takes from ``section_counts`` of its directory. A book-by-book pass would
+    raise the same first error."""
     n_chunks = cfg.model.n_chunks
-    x = np.empty((len(corpus), n_chunks, cfg.encoder.dim)) if hashed and corpus else None
     readability = np.empty((len(corpus), N_READABILITY)) if cfg.model.use_readability else None
-    block: list[tuple[int, BookRecord, Sentences]] = []
-    held = 0  # text bytes of the open block
-    try:
+    if cfg.encoder.kind == "hashed":
+        x = np.empty((len(corpus), n_chunks, cfg.encoder.dim)) if corpus else None
+        for block in _section_blocks(corpus, cfg.section, {}):
+            _featurize_block(block, cfg, x, readability)
+    else:
+        x = counted = None
+        if readability is not None:
+            counted = section_counts(corpus, cfg.section, cfg.encoder.directory)
         for i, record in enumerate(corpus):
-            means = None if hashed else chunk_average(_section_matrix(record, cfg), n_chunks)
-            if hashed or readability is not None:
-                block.append((i, record, _read_section(record, cfg.section)))
-                held += len(block[-1][2].data)
-                if len(block) == _BLOCK_BOOKS or held > _BLOCK_BYTES:
-                    _featurize_block(block, cfg, x, readability)
-                    held = 0
-            if means is not None:
-                if x is None:
-                    x = np.empty((len(corpus),) + means.shape)
-                elif means.shape != x.shape[1:]:
-                    dims = sorted({x.shape[-1], means.shape[-1]})
-                    raise FeaturizationError(
-                        f"book {record.book_id}: inconsistent embedding dims across "
-                        f"corpus: {dims}"
-                    )
-                x[i] = means
-    except FeaturizationError:
-        _featurize_block(block, cfg, x, readability)  # an earlier book's error comes first
-        raise
-    _featurize_block(block, cfg, x, readability)
+            means = chunk_average(_section_matrix(record, cfg), n_chunks)
+            if x is None:
+                x = np.empty((len(corpus),) + means.shape)
+            elif means.shape != x.shape[1:]:
+                dims = sorted({x.shape[-1], means.shape[-1]})
+                raise FeaturizationError(
+                    f"book {record.book_id}: inconsistent embedding dims across corpus: {dims}"
+                )
+            x[i] = means
+            if counted is not None:
+                readability[i] = _scores(record, counted[i])
     if x is None:
         return np.zeros((0,)), readability
     return (x[:, 0] if cfg.model.arch == "book2vec" else x), readability

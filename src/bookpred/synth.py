@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MANIFEST_COLUMNS, Genre, SuccessLabel
+from .corpus import MANIFEST_COLUMNS, BookRecord, Genre, SuccessLabel, select_section
 from .embedding import write_embeddings
+from .pipeline import STORE_COLUMNS, STORE_NAME, TrainConfig, store_row
 from .readability import smog
-from .textstats import compute_counts, count_syllables
+from .textstats import compute_counts, count_syllables, split_sentences
 
 __all__ = [
     "GENRE_WEIGHTS",
@@ -155,8 +156,9 @@ def make_readability_corpus(
     while unsuccessful books mix two- with one-syllable words (SMOG at
     its floor). Words per sentence varies per book independently of the
     label, so the other four indices fluctuate without carrying label
-    signal. A ``semb/`` directory of pure-noise sentence embeddings is
-    written next to the manifest; labels are supplied directly (no
+    signal. A ``semb/`` directory of pure-noise sentence embeddings and a
+    ``featurized.csv`` store of the books' counts at ``TrainConfig().section``
+    is written next to the manifest; labels are supplied directly (no
     ratings). Returns the manifest path.
     """
     root = Path(root)
@@ -171,6 +173,8 @@ def make_readability_corpus(
     labels = np.array([True] * (n_books // 2) + [False] * (n_books - n_books // 2))
     rng.shuffle(labels)
     rows = []
+    store = []
+    section = TrainConfig().section
     for i in range(n_books):
         successful = bool(labels[i])
         words_per_sentence = int(rng.integers(6, 26))
@@ -203,5 +207,12 @@ def make_readability_corpus(
         rows.append(row)
 
         noise = rng.standard_normal((n_sentences, embedding_dim)).astype(np.float32)
-        write_embeddings(noise, root / "semb" / f"{row['book_id']}.semb")
+        semb_path = root / "semb" / f"{row['book_id']}.semb"
+        write_embeddings(noise, semb_path)
+        if section.kind != "full" and counts.sentences > section.k:
+            counts = select_section(split_sentences(text), section).counts()
+        record = BookRecord(row["book_id"], genres[i], None, 0, label, root / row["text_path"])
+        store.append(store_row(record, semb_path, embedding_dim, section, counts))
+    with open(root / "semb" / STORE_NAME, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([STORE_COLUMNS] + store)
     return _write_manifest(root, rows)

@@ -541,6 +541,21 @@ class TestExternalEncoderEval:
         assert f"{tmp_path / 'semb8' / 'book0000.semb'} has dim 8" in err
         assert "the model expects input_dim=16" in err
 
+    @pytest.mark.parametrize("command", ["eval", "attribute"])
+    def test_missing_semb_dir_names_the_checkpoint_and_the_flag(self, tmp_path, capsys, command):
+        manifest = synth.make_readability_corpus(
+            tmp_path, n_books=8, seed=5, embedding_dim=8, sentences_per_book=(5, 8)
+        )
+        ckpt = tmp_path / "m.bpmd"
+        code, _, _ = run(
+            capsys, "train", "--manifest", str(manifest), "--out", str(ckpt),
+            "--semb-dir", str(tmp_path / "semb"), "--set", "epochs=1",
+        )
+        assert code == 0
+        code, _, err = run(capsys, command, "--checkpoint", str(ckpt), "--manifest", str(manifest))
+        assert code == 1
+        assert err.startswith(f"error: {ckpt}: ") and "--semb-dir" in err
+
     def test_validation_books_of_another_dim_exit_one(self, tmp_path, capsys):
         manifest = synth.make_readability_corpus(
             tmp_path, n_books=10, seed=5, embedding_dim=16, sentences_per_book=(5, 8)
@@ -694,6 +709,8 @@ class TestConfigHandling:
         assert not out_dir.exists()
 
     def test_featurize_external_encoder_exits_one_with_error_prefix(self, tmp_path, capsys):
+        # An external encoder is accepted: the missing manifest is what stops
+        # the command, before its output directory is made.
         out_dir = tmp_path / "out"
         code, _, err = run(
             capsys,
@@ -704,7 +721,7 @@ class TestConfigHandling:
         )
         assert code == 1
         assert err == (
-            "error: featurize produces .semb files and only supports the hashed encoder\n"
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.csv'}'\n"
         )
         assert not out_dir.exists()
 

@@ -160,9 +160,17 @@ def test_leaf_type_table_has_no_dead_or_missing_entry():
     assert set(cli.config_keys().values()) == set(net.LEAF_TYPES)
 
 
-@pytest.mark.parametrize("kind", list(BAD_TEXT), ids=[key for key, _ in BAD_TEXT.values()])
-def test_bad_text_of_each_leaf_type_names_its_key(kind):
-    key, text = BAD_TEXT[kind]
+# Further bad texts of a leaf type, beyond the one above: an empty item
+# between commas is no window size.
+MORE_BAD_TEXT = {"model.window_sizes-empty_item": (tuple[int, ...], "model.window_sizes", "2,,3,")}
+
+
+@pytest.mark.parametrize(
+    "kind, key, text",
+    [(kind, *case) for kind, case in BAD_TEXT.items()] + list(MORE_BAD_TEXT.values()),
+    ids=[key for key, _ in BAD_TEXT.values()] + list(MORE_BAD_TEXT),
+)
+def test_bad_text_of_each_leaf_type_names_its_key(kind, key, text):
     assert cli.config_keys()[key] == kind
     with pytest.raises(cli.ConfigError, match=f"^{re.escape(key)}[: ]"):  # the key comes first
         build(f"{key}={text}")

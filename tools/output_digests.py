@@ -14,7 +14,7 @@ external ``.semb`` vectors at dim 64, and a ``--config`` file that sets a
 key of every leaf type but a path), eval, attribute for both targets,
 eval and attribute of the ``.semb`` model on its corpus plus the hand-written
 texts with words, mcnemar of the dim-512 cnn against book2vec and against
-``last:17``, featurize, export-vectors with the hashed and the ``.semb``
+``last:17``, featurize and export-vectors with the hashed and the ``.semb``
 encoder, and readability. Each output file, and each
 command's standard output, gets one ``sha256  name`` line; the absolute
 OUT_DIR path is replaced by ``OUT_DIR`` first, so the digests do not depend
@@ -175,6 +175,9 @@ def runs(inputs: dict[str, Path], runs_dir: Path) -> list[tuple[str, list[str]]]
         ("featurize", ["featurize", "--manifest", str(inputs["all"]), "--jobs", "1",
                        "--out", str(runs_dir / "featurized"), "--set", "encoder.dim=64",
                        "--section", "first:40"]),
+        ("featurize_semb", ["featurize", "--manifest", str(inputs["semb_odd"]),
+                            "--out", str(runs_dir / "featurized_semb"),
+                            "--set", f"encoder.directory={inputs['semb_dir']}"]),
         ("export_hashed", ["export-vectors", "--manifest", str(inputs["all"]),
                            "--out", str(runs_dir / "vectors_hashed.csv"),
                            "--set", "encoder.dim=128", "--section", "full"]),

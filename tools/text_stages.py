@@ -29,6 +29,16 @@ readability, as ``eval`` featurizes a batch:
 * ``featurize-book``: ``pipeline.featurize_book`` on each book in turn,
   one book per block, which pays those costs once per book.
 
+The same 64 books are also featurized with an external encoder, from seeded
+noise ``.semb`` files (dim 64, one row per sentence), with readability, as
+``eval --semb-dir`` featurizes a batch:
+
+* ``external-counted``: ``pipeline.featurize_corpus`` from a ``.semb``
+  directory without a store, which reads, segments and counts every text;
+* ``external-stored``: the same call from a directory whose
+  ``featurized.csv`` store (rows by ``pipeline.store_row``) holds each
+  book's counts, so each text is only read and hashed.
+
 Each line gives the median over five passes of the seconds a stage takes
 for all books of a set, and MB/s, where MB is the size of the book files
 (at ``first:1000`` too, so there the rate shows how little of each book is
@@ -40,6 +50,7 @@ one pass, as a quick check that the stages run.
 from __future__ import annotations
 
 import argparse
+import csv
 import statistics
 import sys
 import tempfile
@@ -52,13 +63,17 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel, select_section  # noqa: E402
-from bookpred.embedding import encode_hashed_bow  # noqa: E402
+from bookpred.embedding import encode_hashed_bow, write_embeddings  # noqa: E402
 from bookpred.pipeline import (  # noqa: E402
+    STORE_COLUMNS,
+    STORE_NAME,
     EncoderConfig,
     TrainConfig,
     featurize_book,
     featurize_corpus,
+    section_counts,
     section_tokens,
+    store_row,
 )
 from bookpred.textstats import counts_from_sentences, split_sentences  # noqa: E402
 
@@ -135,14 +150,39 @@ def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, 
     return {stage: statistics.median(values) for stage, values in seconds.items()}
 
 
-def time_short_books(records: list, repeats: int) -> dict[str, float]:
+def write_semb_dirs(root: Path, records: list, section: SectionSpec) -> tuple[Path, Path]:
+    """Two directories of the same seeded noise .semb files for ``records``,
+    the second with a store of their counts of ``section``."""
+    counted, stored = root / "semb-counted", root / "semb-stored"
+    counted.mkdir()
+    stored.mkdir()
+    rng = np.random.default_rng(SEED)
+    rows = [STORE_COLUMNS]
+    for record, counts in zip(records, section_counts(records, section)):
+        matrix = rng.standard_normal((counts.sentences, 64))
+        for directory in (counted, stored):
+            write_embeddings(matrix, directory / f"{record.book_id}.semb")
+        rows.append(store_row(record, stored / f"{record.book_id}.semb", 64, section, counts))
+    with open(stored / STORE_NAME, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return counted, stored
+
+
+def time_short_books(records: list, root: Path, repeats: int) -> dict[str, float]:
     """Median seconds over ``repeats`` passes to featurize ``records`` as
     one corpus and one book at a time, at ``first:1000`` with the hashed
-    encoder and readability."""
-    cfg = TrainConfig(section=SectionSpec("first", 1000), encoder=EncoderConfig(dim=512))
+    encoder and readability, and as one corpus with an external encoder
+    whose readability is counted and whose readability is stored."""
+    section = SectionSpec("first", 1000)
+    cfg = TrainConfig(section=section, encoder=EncoderConfig(dim=512))
+    counted, stored = write_semb_dirs(root, records, section)
+    counted_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=counted))
+    stored_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=stored))
     stages = {
         "featurize-corpus": lambda: featurize_corpus(records, cfg),
         "featurize-book": lambda: [featurize_book(record, cfg) for record in records],
+        "external-counted": lambda: featurize_corpus(records, counted_cfg),
+        "external-stored": lambda: featurize_corpus(records, stored_cfg),
     }
     seconds: dict[str, list[float]] = {stage: [] for stage in stages}
     for _ in range(repeats):
@@ -178,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                     _print_line(name, section, stage, seconds, mb)
         short = write_short_books(Path(tmp), n_short, SEED)
         mb = sum(r.text_path.stat().st_size for r in short) / MB
-        for stage, seconds in time_short_books(short, repeats).items():
+        for stage, seconds in time_short_books(short, Path(tmp), repeats).items():
             _print_line("short", "first:1000", stage, seconds, mb)
     return 0
 
