@@ -15,16 +15,15 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import net, pipeline
 from .corpus import SuccessLabel, load_corpus
-from .embedding import SembError, encode_hashed_bow, write_embeddings
+from .embedding import SembError, write_embeddings
 from .metrics import mcnemar
-from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError
+from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError, section_counts
 from .readability import INDEX_NAMES, readability_vector
-from .textstats import compute_counts, counts_from_sentences
+from .textstats import compute_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,23 +126,25 @@ def _counts_row(book_id: str, counts) -> list:
     return row + ["NA"] * len(INDEX_NAMES)
 
 
-def _featurize_one(task) -> tuple[list, list] | str:
-    """Worker: featurize one book and write its .semb file.
-
-    Returns the book's readability.csv and featurized.csv rows, or its
-    error message; books fail independently.
-    """
-    record, encoder, section, out_dir = task
-    try:
-        tokens = pipeline.section_tokens(record, section)
-        matrix = encode_hashed_bow(tokens, dim=encoder.dim, seed=encoder.seed)
-        semb_path = Path(out_dir) / f"{record.book_id}.semb"
-        write_embeddings(matrix, semb_path)
-        counts = counts_from_sentences(tokens)
-        store_row = pipeline.store_row(record, semb_path, encoder.dim, section, counts)
-        return _counts_row(record.book_id, counts), store_row
-    except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
-        return str(exc)
+def _featurize_slice(books, cfg: TrainConfig, out_dir: Path) -> list:
+    """Worker: write a corpus slice's hashed .semb files, if any, into ``out_dir``,
+    and return each book's readability.csv and featurized.csv rows, or its error
+    message; books fail independently."""
+    results = []
+    for record, item in zip(books, section_counts(books, cfg.section, encoder=cfg.encoder)):
+        try:
+            if isinstance(item, FeaturizationError):
+                raise item
+            counts, rows = item
+            semb_path = (cfg.encoder.directory or out_dir) / f"{record.book_id}.semb"
+            if rows is not None:
+                write_embeddings(rows, semb_path)
+            dim = "" if rows is None else cfg.encoder.dim
+            store_row = pipeline.store_row(record, semb_path, dim, cfg.section, counts)
+            results.append((_counts_row(record.book_id, counts), store_row))
+        except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
+            results.append(str(exc))
+    return results
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -154,34 +155,24 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(record, cfg.encoder, cfg.section, str(out_dir)) for record in corpus]
-    if cfg.encoder.kind != "hashed":  # no vectors: the sections are counted in blocks
-        semb_dir = cfg.encoder.directory
-        results = [str(c) if isinstance(c, FeaturizationError) else (
-            _counts_row(r.book_id, c),
-            pipeline.store_row(r, semb_dir / f"{r.book_id}.semb", "", cfg.section, c),
-        ) for r, c in zip(corpus, pipeline.section_counts(corpus, cfg.section))]
-    elif args.jobs == 1:
-        results = [_featurize_one(t) for t in tasks]
+    size = -(-len(corpus) // args.jobs) or 1  # books per slice: at most --jobs slices
+    slices = [corpus[i : i + size] for i in range(0, len(corpus), size)]
+    work = (_featurize_slice, slices, [cfg] * len(slices), [out_dir] * len(slices))
+    if len(slices) < 2:
+        results = list(map(*work))
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_featurize_one, tasks))
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-    failures = []
-    with (
-        open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as r_fh,
-        open(out_dir / pipeline.STORE_NAME, "w", encoding="utf-8", newline="") as f_fh,
-    ):
-        readability_csv, featurized_csv = csv.writer(r_fh), csv.writer(f_fh)
-        readability_csv.writerow(_READABILITY_HEADER)
-        featurized_csv.writerow(pipeline.STORE_COLUMNS)
-        for record, result in zip(corpus, results):
-            if isinstance(result, str):
-                failures.append((record.book_id, result))
-                continue
-            readability_row, featurized_row = result
-            readability_csv.writerow(readability_row)
-            featurized_csv.writerow(featurized_row)
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            results = list(pool.map(*work))
+
+    results = [x for slice_results in results for x in slice_results]
+    failures = [(r.book_id, x) for r, x in zip(corpus, results) if isinstance(x, str)]
+    written = [x for x in results if not isinstance(x, str)]
+    with open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([_READABILITY_HEADER] + [row for row, _ in written])
+    with open(out_dir / pipeline.STORE_NAME, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([pipeline.STORE_COLUMNS] + [row for _, row in written])
 
     print(f"featurized {len(corpus) - len(failures)} of {len(corpus)} books into {out_dir}")
     for book_id, err in failures:
@@ -329,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: one per CPU)")
+                   help="slices of the books run at once, one worker process each "
+                   "(default: one per CPU)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_featurize)
 

@@ -10,7 +10,7 @@ is written; the CLI derives its ``key=value`` keys from the same fields.
 ``featurize_corpus(corpus, cfg)`` cuts each book to its section, then
 tokenizes, hashes and counts a block of books at once, with readability
 only if ``cfg.model`` fuses it; ``featurize_book`` is a block of one book.
-An external encoder's counts come from ``section_counts`` and its store.
+An external encoder's counts, and ``bookpred featurize``, use ``section_counts``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .readability import (
     fit_scaler,
     readability_vector,
 )
-from .textstats import Sentences, TextCounts, Tokens, counts_from_sentences, split_sentences
+from .textstats import Sentences, TextCounts, counts_from_sentences, split_sentences
 
 __all__ = [
     "EncoderConfig",
@@ -56,7 +56,6 @@ __all__ = [
     "AttributionReport",
     "FeaturizationError",
     "TrainingDivergedError",
-    "section_tokens",
     "section_counts",
     "store_row",
     "featurize_corpus",
@@ -151,11 +150,6 @@ def _read_section(record: BookRecord, section: SectionSpec) -> Sentences:
     return sentences
 
 
-def section_tokens(record: BookRecord, section: SectionSpec) -> Tokens:
-    """The configured section of one book, tokenized once."""
-    return _read_section(record, section).tokens()
-
-
 def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
     """The configured section's rows of one book's .semb matrix, whose dim
     must be ``cfg.model.input_dim`` once a checkpoint or training sets it."""
@@ -198,7 +192,8 @@ def _section_blocks(corpus: CorpusSet, section: SectionSpec, store: dict):
     block = []
     held = 0
     for i, record in enumerate(corpus):
-        row_section, digest, part = store.get(record.book_id, (None, None, None))
+        row_section, digest, *counts = store.get(record.book_id, (None, None))
+        part = TextCounts(*counts) if counts else None
         try:
             if row_section != section:
                 part = _read_section(record, section)
@@ -236,18 +231,29 @@ def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
         raise error
 
 
-def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | None = None) -> list:
-    """Each book's ``TextCounts`` of ``section``, or its ``FeaturizationError``:
-    books fail independently. A book's counts in the store of a .semb
-    ``directory`` are used as they are; a block of others is counted at once."""
+def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | None = None,
+                   encoder: EncoderConfig | None = None):
+    """Each book's ``TextCounts`` of ``section``, or its ``FeaturizationError``, one
+    block of books at a time; books fail independently. A book's counts in the store of
+    a .semb ``directory`` are used as they are; a block of others is counted at once.
+    Given an ``encoder`` instead, a book comes as ``(counts, rows)``: its own float32
+    un-chunked vectors from one ``encode_hashed_bow`` per block, or None if external."""
     path = directory and Path(directory) / STORE_NAME
     store = _parse_store(path, path.read_bytes()) if path and path.exists() else {}
-    results = []
     for block in _section_blocks(corpus, section, store):
         parts = [part for _, _, part in block if isinstance(part, Sentences)]
-        counts = iter(Sentences.join(parts).counts([len(p) for p in parts]) if parts else ())
-        results += [next(counts) if isinstance(part, Sentences) else part for _, _, part in block]
-    return results
+        books = [len(part) for part in parts]
+        if parts and encoder and encoder.kind == "hashed":
+            tokens = Sentences.join(parts).tokens()
+            vectors = encode_hashed_bow(tokens, encoder.dim, encoder.seed)
+            rows = [book.astype(np.float32) for book in np.split(vectors, np.cumsum(books[:-1]))]
+            counted = list(zip(counts_from_sentences(tokens, books), rows))
+            del vectors, rows  # a yielded book holds its rows, the generator none
+        else:
+            counted = Sentences.join(parts).counts(books) if parts else []
+            counted = [(counts, None) for counts in counted] if encoder else counted
+        counted.reverse()  # popped as yielded
+        yield from (counted.pop() if isinstance(part, Sentences) else part for _, _, part in block)
 
 
 def store_row(record: BookRecord, semb_path, dim, section, counts) -> list:
@@ -260,25 +266,26 @@ def store_row(record: BookRecord, semb_path, dim, section, counts) -> list:
 
 @functools.lru_cache(maxsize=4)
 def _parse_store(path: Path, data: bytes) -> dict:
-    """book_id -> (section, text_sha256, counts) of each row of the store
+    """book_id -> (section, text_sha256, W, C, S, L, P) of each row of the store
     ``data`` read from ``path``; a fault is a ``ValueError`` naming the line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: line {data[: exc.start].count(10) + 1}: {exc}") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows: dict = {}
+    section_of = functools.cache(functools.partial(net.from_json, "section", SectionSpec))
     try:
-        if not set(STORE_COLUMNS) <= set(reader.fieldnames or ()):
-            raise ValueError(f"a store needs the columns {','.join(STORE_COLUMNS)}")
-        for row in reader:
-            if None in row or None in row.values() or row["book_id"] in rows:
+        if next(reader, []) != STORE_COLUMNS:
+            raise ValueError(f"a store's header is {','.join(STORE_COLUMNS)}")
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(STORE_COLUMNS) or row[0] in rows:
                 raise ValueError("wrong number of fields, or a repeated book_id")
-            counts = [int(row[name]) for name in COUNT_COLUMNS]
+            book_id, _, _, _, _, _, digest, section, *counts = row
+            counts = list(map(int, counts))
             if min(counts) < 0:
                 raise ValueError(f"negative count in {counts}")
-            section = net.from_json("section", SectionSpec, row["section"])
-            rows[row["book_id"]] = (section, row["text_sha256"], TextCounts(*counts))
+            rows[book_id] = (section_of(section), digest, *counts)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows
@@ -304,6 +311,7 @@ def featurize_corpus(
         if readability is not None:
             counted = section_counts(corpus, cfg.section, cfg.encoder.directory)
         for i, record in enumerate(corpus):
+            counts = counted and next(counted)  # a malformed store raises before any .semb
             means = chunk_average(_section_matrix(record, cfg), n_chunks)
             if x is None:
                 x = np.empty((len(corpus),) + means.shape)
@@ -314,7 +322,7 @@ def featurize_corpus(
                 )
             x[i] = means
             if counted is not None:
-                readability[i] = _scores(record, counted[i])
+                readability[i] = _scores(record, counts)
     if x is None:
         return np.zeros((0,)), readability
     return (x[:, 0] if cfg.model.arch == "book2vec" else x), readability

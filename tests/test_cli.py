@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,34 +138,99 @@ class TestFeaturizeCommand:
         assert "book0003" in err
         assert len(list(out_dir.glob("*.semb"))) == 19
 
+    @staticmethod
+    def _featurize_outputs(capsys, manifest, out_dir, jobs, *settings):
+        """The files, stdout and stderr of a featurize run into a fresh ``out_dir``."""
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code, out, err = run(
+            capsys,
+            "featurize",
+            "--manifest", str(manifest),
+            "--out", str(out_dir),
+            "--jobs", jobs,
+            *settings,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, files, out, err
+
     def test_process_pool_writes_what_one_process_writes(self, corpus_dir, tmp_path, capsys):
         """Without --jobs, featurize runs one worker process per CPU; two
-        workers write the same bytes, and report the same failure, as the
-        in-process path."""
+        workers, and three, which do not divide the 20 books evenly, write the
+        same bytes, and report the same failure, as the in-process path, with
+        the hashed encoder and with an external one."""
         assert build_parser().parse_args(
             ["featurize", "--manifest", "m.csv", "--out", "o"]
         ).jobs == (os.cpu_count() or 1)
         manifest = self._corpus_missing_a_text(corpus_dir, tmp_path)
-        out_dir = tmp_path / "feat"
-        outputs = []
-        for jobs in ("1", "2"):
-            shutil.rmtree(out_dir, ignore_errors=True)
-            code, out, err = run(
-                capsys,
-                "featurize",
-                "--manifest", str(manifest),
-                "--out", str(out_dir),
-                "--jobs", jobs,
-                "--set", "encoder.dim=64",
-            )
+        hashed = ["--set", "encoder.dim=64"]
+        external = ["--set", f"encoder.directory={tmp_path / 'vectors'}"]
+        for settings, n_semb in ((hashed, 19), (external, 0)):
+            outputs = [
+                self._featurize_outputs(capsys, manifest, tmp_path / "feat", jobs, *settings)
+                for jobs in ("1", "2", "3")
+            ]
+            code, files, out, err = outputs[0]
             assert code == 1
-            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-            outputs.append((files, out, err))
-        files, out, err = outputs[0]
-        assert len([name for name in files if name.endswith(".semb")]) == 19
-        assert {"readability.csv", "featurized.csv"} <= set(files)
-        assert "book0003" in err
-        assert outputs[1] == outputs[0]
+            assert len([name for name in files if name.endswith(".semb")]) == n_semb
+            assert {"readability.csv", "featurized.csv"} <= set(files)
+            assert "book0003" in err
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("jobs", ["7", "25"])
+    def test_pool_gets_no_more_workers_than_slices(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, jobs
+    ):
+        """--jobs cuts the 20 books into at most that many slices, one book
+        each when it exceeds the book count, and the pool is given no more
+        workers than slices; the bytes are those of --jobs 1. The pool is an
+        in-process stand-in, so no process starts."""
+        import concurrent.futures
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, slices, *args):
+                pools[-1].append([len(books) for books in slices])
+                return map(fn, slices, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        manifest = corpus_dir / "manifest.csv"
+        one = self._featurize_outputs(capsys, manifest, tmp_path / "feat", "1")
+        assert pools == []
+        many = self._featurize_outputs(capsys, manifest, tmp_path / "feat", jobs)
+        assert many == one and one[0] == 0
+        [(max_workers, sizes)] = pools
+        assert sum(sizes) == 20 and len(sizes) <= min(int(jobs), 20)
+        assert max_workers <= len(sizes)
+
+    def test_peak_memory_does_not_grow_with_the_book_count(self, tmp_path, capsys):
+        """Featurize holds one block of books at a time, not every book: 160
+        books, the same 40 texts four times, peak within 10% of the 40."""
+        manifest = synth.make_token_corpus(tmp_path / "corpus", n_books=40, seed=5)
+        header, *rows = manifest.read_text(encoding="utf-8").splitlines()
+        four_times = manifest.with_name("four_times.csv")
+        copies = [f"copy{k}_{row}" for k in range(4) for row in rows]
+        four_times.write_text("\n".join([header, *copies]) + "\n", encoding="utf-8")
+        peaks = []
+        for books in (manifest, four_times):
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "featurize", "--manifest", str(books),
+                                   "--out", str(tmp_path / "out"), "--jobs", "1")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
     def test_outputs_match_reference_featurization(self, corpus_dir, tmp_path, capsys):
         """.semb bytes and readability.csv equal what the character-loop

@@ -228,7 +228,7 @@ def test_eval_with_a_valid_store_reads_no_section(corpus, tmp_path, capsys, monk
 def test_section_counts_isolate_books_and_match_featurization(made):
     corpus = load_corpus(made / "manifest.csv")
     broken = corpus[:3] + (replace(corpus[3], text_path=made / "absent.txt"),)
-    counts = pipeline.section_counts(broken + corpus[4:], pipeline.TrainConfig().section)
+    counts = list(pipeline.section_counts(broken + corpus[4:], pipeline.TrainConfig().section))
     assert isinstance(counts[3], pipeline.FeaturizationError)
     assert "book0003" in str(counts[3])
     stored = {row["book_id"]: row for row in rows(made / "semb" / pipeline.STORE_NAME)}

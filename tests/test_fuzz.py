@@ -1,9 +1,10 @@
 """Fuzzed inputs: truncated, bit-flipped and garbage bytes given to the
-three file readers, random JSON in a checkpoint's metadata, and random
+four file readers, random JSON in a checkpoint's metadata, and random
 strings given to every config key raise only their documented error
 classes, and the CLI exits 1 on them."""
 
 import contextlib
+import csv
 import io
 import json
 import struct
@@ -17,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bookpred import cli, net, pipeline
-from bookpred.corpus import ManifestError, load_corpus
+from bookpred.corpus import BookRecord, Genre, ManifestError, SectionSpec, SuccessLabel, load_corpus
 from bookpred.embedding import SembError, load_embeddings, write_embeddings
 from bookpred.net import CheckpointError, ModelConfig
 from bookpred.pipeline import EncoderConfig, TrainConfig
 from bookpred.readability import ReadabilityScaler
+from bookpred.textstats import compute_counts
 
 MANIFEST = (
     "book_id,genre,avg_rating,n_ratings,label,text_path\n"
@@ -53,10 +55,20 @@ def _valid_files() -> dict[str, bytes]:
             ReadabilityScaler(mean=np.zeros(5), std=np.ones(5)),
             extra=pipeline.feature_meta(cfg),
         )
+        store = io.StringIO(newline="")
+        csv.writer(store).writerow(pipeline.STORE_COLUMNS)
+        for book_id, text in [("a", "One word. Two more words."), ("b, quoted", "Three.")]:
+            (root / "t.txt").write_text(text, encoding="utf-8")
+            record = BookRecord(book_id, Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL,
+                                root / "t.txt")
+            row = pipeline.store_row(record, "x.semb", 4, SectionSpec("first", 9),
+                                     compute_counts(text))
+            csv.writer(store).writerow(row)
         return {
             "semb": (root / "x.semb").read_bytes(),
             "bpmd": (root / "m.bpmd").read_bytes(),
             "csv": MANIFEST.encode("utf-8"),
+            "store": store.getvalue().encode("utf-8"),
         }
 
 
@@ -65,6 +77,7 @@ READERS = {
     "semb": (load_embeddings, SembError),
     "bpmd": (net.load_checkpoint, CheckpointError),
     "csv": (load_corpus, ManifestError),
+    "store": (lambda path: pipeline._parse_store(path, path.read_bytes()), ValueError),
 }
 
 

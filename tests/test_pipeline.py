@@ -284,7 +284,7 @@ class TestSinglePassFeaturization:
             return found[-1]
 
         monkeypatch.setattr(pipeline, "split_sentences", recording)
-        tokens = pipeline.section_tokens(tiny_corpus[0], SectionSpec("first", 3))
+        tokens = pipeline._read_section(tiny_corpus[0], SectionSpec("first", 3)).tokens()
         assert len(tokens) == len(found[0]) == 3
 
     @pytest.mark.parametrize(

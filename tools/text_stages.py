@@ -7,8 +7,9 @@ ones and a copy of each with “curly quotes” and ’ apostrophes, so that the
 text is not pure ASCII. For each set, at ``full`` and at ``first:1000``, it
 times, through the public API only:
 
-* ``segment+tokenize``: ``pipeline.section_tokens`` (read, segment and
-  tokenize the section);
+* ``segment+tokenize``: read the book, segment its section with
+  ``textstats.split_sentences`` and ``corpus.select_section``, and tokenize
+  it, as featurization does;
 * ``counts``: ``textstats.counts_from_sentences`` on those tokens, as
   the hashed encoder's featurization counts;
 * ``counts-bytes``: ``Sentences.counts`` on the segmented section (segmented
@@ -27,7 +28,11 @@ readability, as ``eval`` featurizes a batch:
 * ``featurize-corpus``: ``pipeline.featurize_corpus`` on all 64 books,
   which tokenizes, hashes and counts a block of up to 32 books at once;
 * ``featurize-book``: ``pipeline.featurize_book`` on each book in turn,
-  one book per block, which pays those costs once per book.
+  one book per block, which pays those costs once per book;
+* ``featurize-cli-j1`` and ``featurize-cli-j2``: ``bookpred featurize`` of
+  the 64 books, run in-process by ``cli.main`` at ``--jobs 1`` and ``--jobs 2``
+  (a pool of two worker processes): the un-chunked ``.semb`` files and both
+  CSVs, written into a scratch directory.
 
 The same 64 books are also featurized with an external encoder, from seeded
 noise ``.semb`` files (dim 64, one row per sentence), with readability, as
@@ -50,7 +55,9 @@ one pass, as a quick check that the stages run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import statistics
 import sys
 import tempfile
@@ -62,7 +69,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel, select_section  # noqa: E402
+from bookpred import cli  # noqa: E402
+from bookpred.corpus import (  # noqa: E402
+    MANIFEST_COLUMNS,
+    BookRecord,
+    Genre,
+    SectionSpec,
+    SuccessLabel,
+    select_section,
+)
 from bookpred.embedding import encode_hashed_bow, write_embeddings  # noqa: E402
 from bookpred.pipeline import (  # noqa: E402
     STORE_COLUMNS,
@@ -72,7 +87,6 @@ from bookpred.pipeline import (  # noqa: E402
     featurize_book,
     featurize_corpus,
     section_counts,
-    section_tokens,
     store_row,
 )
 from bookpred.textstats import counts_from_sentences, split_sentences  # noqa: E402
@@ -130,10 +144,10 @@ def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, 
     for _ in range(repeats):
         totals = dict.fromkeys(seconds, 0.0)
         for record in records:
+            t0 = time.perf_counter()
             text = record.text_path.read_text(encoding="utf-8")
             sentences = select_section(split_sentences(text, first), section)
-            t0 = time.perf_counter()
-            tokens = section_tokens(record, section)
+            tokens = sentences.tokens()
             t1 = time.perf_counter()
             counts_from_sentences(tokens)
             t2 = time.perf_counter()
@@ -168,19 +182,44 @@ def write_semb_dirs(root: Path, records: list, section: SectionSpec) -> tuple[Pa
     return counted, stored
 
 
+def write_manifest(root: Path, records: list) -> Path:
+    """A manifest of ``records``, as ``bookpred featurize`` reads one."""
+    manifest = root / "short.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([MANIFEST_COLUMNS] + [
+            [r.book_id, r.genre.value, "", r.n_ratings, r.label.value, r.text_path]
+            for r in records
+        ])
+    return manifest
+
+
+def featurize_cli(manifest: Path, root: Path, jobs: int) -> None:
+    """``bookpred featurize`` of ``manifest`` at ``--jobs jobs``, in-process,
+    into a fresh directory under ``root``, its summary line discarded."""
+    argv = ["featurize", "--manifest", str(manifest), "--out", tempfile.mkdtemp(dir=root),
+            "--jobs", str(jobs)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"bookpred {' '.join(argv)} failed")
+
+
 def time_short_books(records: list, root: Path, repeats: int) -> dict[str, float]:
     """Median seconds over ``repeats`` passes to featurize ``records`` as
     one corpus and one book at a time, at ``first:1000`` with the hashed
-    encoder and readability, and as one corpus with an external encoder
-    whose readability is counted and whose readability is stored."""
+    encoder and readability, by ``bookpred featurize`` at one and two jobs,
+    and as one corpus with an external encoder whose readability is counted
+    and whose readability is stored."""
     section = SectionSpec("first", 1000)
     cfg = TrainConfig(section=section, encoder=EncoderConfig(dim=512))
     counted, stored = write_semb_dirs(root, records, section)
+    manifest = write_manifest(root, records)
     counted_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=counted))
     stored_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=stored))
     stages = {
         "featurize-corpus": lambda: featurize_corpus(records, cfg),
         "featurize-book": lambda: [featurize_book(record, cfg) for record in records],
+        "featurize-cli-j1": lambda: featurize_cli(manifest, root, 1),
+        "featurize-cli-j2": lambda: featurize_cli(manifest, root, 2),
         "external-counted": lambda: featurize_corpus(records, counted_cfg),
         "external-stored": lambda: featurize_corpus(records, stored_cfg),
     }
