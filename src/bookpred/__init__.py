@@ -68,7 +68,6 @@ from .textstats import (
     compute_counts,
     count_syllables,
     segment_sentences,
-    tokenize_words,
 )
 
 __version__ = "0.1.0"

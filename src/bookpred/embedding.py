@@ -89,18 +89,10 @@ class SembNonFiniteError(SembError):
     pass
 
 
-def _hash64(token: str, seed: int) -> int:
-    """Seeded FNV-1a over the token's UTF-8 bytes. Stable across runs
-    and processes (unlike builtin hash)."""
-    h = (_FNV_OFFSET ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
-    for byte in token.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
 def _hash_vocab(vocab: list[str], seed: int) -> np.ndarray:
-    """``_hash64(token.lower(), seed)`` of every token, as a uint64 array.
+    """The seeded 64-bit FNV-1a hash of every token's lowercased UTF-8
+    bytes, as a uint64 array: stable across runs and processes, unlike the
+    builtin ``hash``; ``tests/text_reference.py`` hashes one token at a time.
 
     The tokens' UTF-8 bytes are joined, shortest token first, into one
     flat array, so memory grows with the total bytes, not with vocabulary

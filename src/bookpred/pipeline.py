@@ -7,10 +7,12 @@ own settings, the book section, an ``EncoderConfig`` and a
 ``net.ModelConfig``. Its field defaults are the only place each default
 is written; the CLI derives its ``key=value`` keys from the same fields.
 
-``featurize_corpus(corpus, cfg)`` cuts each book to its section, then
-tokenizes, hashes and counts a block of books at once, with readability
-only if ``cfg.model`` fuses it; ``featurize_book`` is a block of one book.
-An external encoder's counts, and ``bookpred featurize``, use ``section_counts``.
+Featurization has one engine, ``section_counts``: it cuts each book to its
+section, then tokenizes, counts and, for the hashed encoder, encodes a block
+of books at once, and yields each book's counts and vectors or its error.
+``featurize_corpus(corpus, cfg)``, which every command that runs a model
+calls, and ``bookpred featurize`` read that one stream; ``featurize_book``
+is ``featurize_corpus`` of one book.
 """
 
 from __future__ import annotations
@@ -174,10 +176,8 @@ def featurize_book(record: BookRecord, cfg: TrainConfig) -> tuple[np.ndarray, np
     return x[0], None if readability is None else readability[0]
 
 
-def _scores(record: BookRecord, counts) -> np.ndarray:
-    """A book's readability scores; an error in place of its counts raises."""
-    if isinstance(counts, FeaturizationError):
-        raise counts
+def _scores(record: BookRecord, counts: TextCounts) -> np.ndarray:
+    """A book's readability scores; a book they are undefined for raises."""
     try:
         return readability_vector(counts)
     except ValueError as exc:
@@ -213,47 +213,41 @@ def _section_blocks(corpus: CorpusSet, section: SectionSpec, store: dict):
     yield block
 
 
-def _featurize_block(block: list, cfg: TrainConfig, x, readability) -> None:
-    """Write the hashed ``x`` rows and the ``readability`` rows of a block's
-    books in one pass over their joined sections, and empty it (its sections
-    are freed on return); then raise its error."""
-    error = block.pop()[2] if block and isinstance(block[-1][2], Exception) else None
-    if block:
-        indices, records, parts = zip(*block)
-        block.clear()
-        tokens, books = Sentences.join(parts).tokens(), [len(part) for part in parts]
-        enc, rows = cfg.encoder, x[indices[0] : indices[-1] + 1]
-        encode_hashed_bow(tokens, enc.dim, enc.seed, cfg.model.n_chunks, books, rows)
-        if readability is not None:
-            for i, record, counts in zip(indices, records, counts_from_sentences(tokens, books)):
-                readability[i] = _scores(record, counts)
-    if error:
-        raise error
-
-
 def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | None = None,
-                   encoder: EncoderConfig | None = None):
-    """Each book's ``TextCounts`` of ``section``, or its ``FeaturizationError``, one
-    block of books at a time; books fail independently. A book's counts in the store of
-    a .semb ``directory`` are used as they are; a block of others is counted at once.
-    Given an ``encoder`` instead, a book comes as ``(counts, rows)``: its own float32
-    un-chunked vectors from one ``encode_hashed_bow`` per block, or None if external."""
-    path = directory and Path(directory) / STORE_NAME
+                   encoder: EncoderConfig | None = None, out: np.ndarray | None = None):
+    """Each book's ``(counts, rows)``, or its ``FeaturizationError``, in corpus order,
+    one block of books at a time; books fail independently. ``counts`` is the book's
+    ``TextCounts`` of ``section``: from the store of a .semb ``directory`` if it holds
+    them, else counted with the rest of its block at once. ``rows`` is None without an
+    ``encoder`` or with an external one. A hashed encoder reads no store and encodes
+    each block by one ``encode_hashed_bow`` call: given the caller's (N, n_chunks, dim)
+    ``out``, book i's chunk means go into ``out[i]``, which is its ``rows``; without
+    ``out``, ``rows`` are the book's own float32 sentence vectors. A block's sections
+    and tokens are freed before the next block is read."""
+    hashed = encoder is not None and encoder.kind == "hashed"
+    path = not hashed and directory and Path(directory) / STORE_NAME
     store = _parse_store(path, path.read_bytes()) if path and path.exists() else {}
     for block in _section_blocks(corpus, section, store):
         parts = [part for _, _, part in block if isinstance(part, Sentences)]
-        books = [len(part) for part in parts]
-        if parts and encoder and encoder.kind == "hashed":
+        books, rows = [len(part) for part in parts], [None] * len(parts)
+        if parts and hashed:
             tokens = Sentences.join(parts).tokens()
-            vectors = encode_hashed_bow(tokens, encoder.dim, encoder.seed)
-            rows = [book.astype(np.float32) for book in np.split(vectors, np.cumsum(books[:-1]))]
+            if out is None:
+                vectors = encode_hashed_bow(tokens, encoder.dim, encoder.seed)
+                rows = [book.astype(np.float32) for book in np.split(vectors, np.cumsum(books[:-1]))]
+                del vectors
+            else:  # a hashed block's books are consecutive, from its first
+                rows = out[block[0][0] : block[0][0] + len(parts)]
+                encode_hashed_bow(tokens, encoder.dim, encoder.seed, out.shape[1], books, rows)
             counted = list(zip(counts_from_sentences(tokens, books), rows))
-            del vectors, rows  # a yielded book holds its rows, the generator none
+            del tokens
         else:
-            counted = Sentences.join(parts).counts(books) if parts else []
-            counted = [(counts, None) for counts in counted] if encoder else counted
-        counted.reverse()  # popped as yielded
-        yield from (counted.pop() if isinstance(part, Sentences) else part for _, _, part in block)
+            counted = list(zip(Sentences.join(parts).counts(books) if parts else [], rows))
+        del parts, rows  # the block's sections go before the next block is read
+        block[:] = [counted.pop(0) if isinstance(part, Sentences) else
+                    (part, None) if isinstance(part, TextCounts) else part for _, _, part in block]
+        while block:  # a yielded book's rows are the caller's alone
+            yield block.pop(0)
 
 
 def store_row(record: BookRecord, semb_path, dim, section, counts) -> list:
@@ -294,24 +288,22 @@ def _parse_store(path: Path, data: bytes) -> dict:
 def featurize_corpus(
     corpus: CorpusSet, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Model inputs for every book, in corpus order: one preallocated
-    (N, n_chunks, dim) array of the sections' chunk averages ((N, dim) for
-    book2vec, whose config fixes one chunk), plus the (N, 5) raw readability
-    scores if ``cfg.model`` fuses them (else None), which an external encoder
-    takes from ``section_counts`` of its directory. A book-by-book pass would
-    raise the same first error."""
-    n_chunks = cfg.model.n_chunks
+    """Model inputs for every book, in corpus order: one (N, n_chunks, dim)
+    array of the sections' chunk averages ((N, dim) for book2vec, whose config
+    fixes one chunk), plus the (N, 5) raw readability scores if ``cfg.model``
+    fuses them (else None). One pass over ``section_counts`` gives both: a
+    hashed encoder's into a preallocated array, an external one's from each
+    book's .semb file, loaded before the book's own error is raised. An
+    external encoder without readability reads no text. A book-by-book pass
+    would raise the same first error."""
+    n_chunks, enc = cfg.model.n_chunks, cfg.encoder
     readability = np.empty((len(corpus), N_READABILITY)) if cfg.model.use_readability else None
-    if cfg.encoder.kind == "hashed":
-        x = np.empty((len(corpus), n_chunks, cfg.encoder.dim)) if corpus else None
-        for block in _section_blocks(corpus, cfg.section, {}):
-            _featurize_block(block, cfg, x, readability)
-    else:
-        x = counted = None
-        if readability is not None:
-            counted = section_counts(corpus, cfg.section, cfg.encoder.directory)
-        for i, record in enumerate(corpus):
-            counts = counted and next(counted)  # a malformed store raises before any .semb
+    x = np.empty((len(corpus), n_chunks, enc.dim)) if enc.kind == "hashed" and corpus else None
+    stream = [None] * len(corpus)
+    if enc.kind == "hashed" or readability is not None:
+        stream = section_counts(corpus, cfg.section, enc.directory, enc, x)
+    for i, (record, item) in enumerate(zip(corpus, stream)):  # a malformed store raises first
+        if enc.kind == "external":
             means = chunk_average(_section_matrix(record, cfg), n_chunks)
             if x is None:
                 x = np.empty((len(corpus),) + means.shape)
@@ -321,8 +313,10 @@ def featurize_corpus(
                     f"book {record.book_id}: inconsistent embedding dims across corpus: {dims}"
                 )
             x[i] = means
-            if counted is not None:
-                readability[i] = _scores(record, counts)
+        if isinstance(item, FeaturizationError):
+            raise item
+        if readability is not None:
+            readability[i] = _scores(record, item[0])
     if x is None:
         return np.zeros((0,)), readability
     return (x[:, 0] if cfg.model.arch == "book2vec" else x), readability

@@ -22,8 +22,7 @@ only for a short token before a lone ``.``. ``Sentences.tokens`` takes
 words as maximal runs of "letter or digit, or a separator between two",
 numbers them in a first-sight vocabulary and counts each sentence's
 words by ``searchsorted``; after ``Sentences.join`` one pass tokenizes
-a block of books, whose counts share the vocabulary. ``tokenize_words``
-is the one-sentence regex the kernel must agree with.
+a block of books, whose counts share the vocabulary.
 
 Counts need no word ids. ``Sentences.counts`` finds the words by the same
 byte mask as ``Sentences.tokens``, and one byte kernel reads each word's
@@ -42,7 +41,6 @@ must agree with.
 
 from __future__ import annotations
 
-import re
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -55,7 +53,6 @@ __all__ = [
     "Sentences",
     "split_sentences",
     "segment_sentences",
-    "tokenize_words",
     "tokenize_sentences",
     "count_syllables",
     "compute_counts",
@@ -71,10 +68,6 @@ _ABBREVIATIONS = frozenset(
 # end an abbreviation.
 _ABBREVIATION_ENDS = frozenset("rstcgeRSTCGE")
 _OPENERS = "\"'“”‘’([{"  # stripped from a token before the list is checked
-
-# Letters/digits (no underscore), with internal apostrophes or hyphens.
-# ``[^\W_]`` matches exactly the characters ``str.isalnum()`` accepts.
-_WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
 
 _VOWELS = frozenset("aeiouy")
 
@@ -242,12 +235,6 @@ def _book_sizes(n: int, sizes: Sequence[int] | None) -> list[int]:
     if sum(sizes) != n or min(sizes, default=0) < 0:
         raise ValueError(f"books hold {sum(sizes)} sentences {sizes}, the tokens {n}")
     return sizes
-
-
-def tokenize_words(sentence: str) -> list[str]:
-    """Return the words of ``sentence``: maximal runs of letters and
-    digits, allowing internal apostrophes and hyphens. Case preserved."""
-    return _WORD_RE.findall(sentence)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import text_reference as ref
 from bookpred import net
 from bookpred.embedding import (
     _chunk_means,
-    _hash64,
     _hash_vocab,
     SembBadMagicError,
     SembNonFiniteError,
@@ -292,7 +292,7 @@ class TestHashVocab:
     def test_matches_per_token_hash(self, vocab, seed):
         hashes = _hash_vocab(vocab, seed)
         assert hashes.dtype == np.uint64 and hashes.shape == (len(vocab),)
-        assert hashes.tolist() == [_hash64(token.lower(), seed) for token in vocab]
+        assert hashes.tolist() == [ref._hash64(token.lower(), seed) for token in vocab]
 
 
     def test_memory_grows_with_the_bytes_not_the_longest_token(self):
@@ -304,7 +304,7 @@ class TestHashVocab:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000  # a (V, longest) byte matrix would take 64 MB
-        assert hashes.tolist() == [_hash64(token.lower(), 3) for token in vocab]
+        assert hashes.tolist() == [ref._hash64(token.lower(), 3) for token in vocab]
 
 
 class TestBookAverage:

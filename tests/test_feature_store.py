@@ -15,6 +15,7 @@ import pytest
 from bookpred import pipeline, synth
 from bookpred.cli import main
 from bookpred.corpus import load_corpus
+from bookpred.textstats import TextCounts
 
 SMALL = ["--set", "epochs=2", "--set", "model.filters_per_window=2",
          "--set", "model.hidden_units=4", "--set", "batch_size=8", "--seed", "1"]
@@ -232,8 +233,10 @@ def test_section_counts_isolate_books_and_match_featurization(made):
     assert isinstance(counts[3], pipeline.FeaturizationError)
     assert "book0003" in str(counts[3])
     stored = {row["book_id"]: row for row in rows(made / "semb" / pipeline.STORE_NAME)}
-    for record, book_counts in zip(corpus, counts):
+    for record, item in zip(corpus, counts):
         if record.book_id != "book0003":
+            book_counts, vectors = item
+            assert vectors is None
             row = stored[record.book_id]
             assert list(vars(book_counts).values()) == [int(row[k]) for k in pipeline.COUNT_COLUMNS]
 
@@ -246,5 +249,17 @@ def test_synth_counts_only_the_section_of_a_longer_book(tmp_path):
     counted = pipeline.section_counts(load_corpus(manifest), section)
     assert [row["S"] for row in stored] == ["1000", "1000"]
     assert [[int(row[k]) for k in pipeline.COUNT_COLUMNS] for row in stored] == [
-        list(vars(counts).values()) for counts in counted
+        list(vars(counts).values()) for counts, _ in counted
     ]
+
+
+def test_section_counts_yield_pairs_for_stored_and_counted_books(made):
+    # One book of the store and the same text under an id the store lacks,
+    # which is counted from the text: both come as (TextCounts, None).
+    corpus = load_corpus(made / "manifest.csv")
+    unstored = replace(corpus[1], book_id="not-in-the-store")
+    encoder = pipeline.EncoderConfig(dim=8, directory=made / "semb")
+    items = list(pipeline.section_counts(corpus[1:2] + (unstored,), pipeline.TrainConfig().section,
+                                         made / "semb", encoder))
+    assert [(type(counts), rows) for counts, rows in items] == [(TextCounts, None)] * 2
+    assert items[0] == items[1]

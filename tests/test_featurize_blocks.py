@@ -149,7 +149,7 @@ def test_long_books_are_blocks_of_their_own(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_blocks_close_past_the_byte_cap_and_count_afresh(tmp_path):
@@ -158,12 +158,26 @@ def test_blocks_close_past_the_byte_cap_and_count_afresh(tmp_path):
     corpus = _corpus(tmp_path, ["Ten bytes."], 8)
     cfg = TrainConfig(section=SectionSpec("full"), encoder=EncoderConfig(dim=8))
     sizes = []
-    featurize_block = pipeline._featurize_block
+    section_blocks = pipeline._section_blocks
 
-    def recording(block, *args):
-        sizes.append(len(block))
-        featurize_block(block, *args)
+    def recording(*args):
+        for block in section_blocks(*args):
+            sizes.append(len(block))
+            yield block
 
-    with mock.patch.multiple(pipeline, _BLOCK_BYTES=25, _featurize_block=recording):
+    with mock.patch.multiple(pipeline, _BLOCK_BYTES=25, _section_blocks=recording):
         pipeline.featurize_corpus(corpus, cfg)
     assert sizes == [3, 3, 2]
+
+
+def test_an_external_book_names_its_semb_before_its_text(tmp_path):
+    # The second book has two faults: its text is not UTF-8 and its .semb is
+    # missing. The .semb is loaded first, so its error is the one raised.
+    corpus = _corpus(tmp_path, ["Some words here.", "More words."], 2)
+    corpus[1].text_path.write_bytes(b"\xff\xfe not UTF-8")
+    semb = tmp_path / "semb" / "b1.semb"
+    semb.unlink()
+    cfg = TrainConfig(encoder=EncoderConfig(dim=8, directory=tmp_path / "semb"))
+    with pytest.raises(FeaturizationError) as info:
+        pipeline.featurize_corpus(corpus, cfg)
+    assert str(info.value) == f"book b1: [Errno 2] No such file or directory: '{semb}'"

@@ -1,7 +1,7 @@
 """Differential tests: the array segmenter and tokenizer, the sparse
 hashed encoder and the frequency-weighted counts against the
-character-loop and per-token reference in ``text_reference`` and the
-one-sentence regex ``tokenize_words``. Everything must agree exactly: the
+character-loop and per-token reference in ``text_reference``, which holds
+the one-sentence regex tokenizer too. Everything must agree exactly: the
 same sentence texts, the same tokens whether raw spans, normalized
 sentences or a book's section are tokenized, the same ``TextCounts``
 whether counted from tokens or straight from the bytes, per book and across
@@ -28,7 +28,6 @@ from bookpred.textstats import (
     segment_sentences,
     split_sentences,
     tokenize_sentences,
-    tokenize_words,
 )
 
 # Pieces that sit on the segmentation rules: terminators, every kind of
@@ -85,7 +84,7 @@ def test_encoder_matches_reference(sentences, dim, seed):
 def test_tokens_match_per_sentence_tokenization(text):
     sentences = ref.segment_sentences(text)
     tokens = tokenize_sentences(s.text for s in sentences)
-    words = [tokenize_words(s.text) for s in sentences]
+    words = [ref._tokenize_words(s.text) for s in sentences]
     flat = [w for sentence_words in words for w in sentence_words]
     assert len(tokens) == len(sentences)
     assert tokens.vocab == list(dict.fromkeys(flat))
@@ -196,7 +195,7 @@ def _pad(n):
 
 
 def _same_tokens(tokens, sentences):
-    words = [tokenize_words(s.text) for s in sentences]
+    words = [ref._tokenize_words(s.text) for s in sentences]
     flat = [w for sentence_words in words for w in sentence_words]
     assert tokens.vocab == list(dict.fromkeys(flat))
     assert [tokens.vocab[i] for i in tokens.ids] == flat

@@ -5,17 +5,30 @@ These are the straightforward implementations that the regex-driven
 and the frequency-weighted ``counts_from_sentences`` replaced: a Python
 loop over every character, one hash and one add per token occurrence,
 and per-occurrence character and syllable counts. The differential
-tests require the package to agree with them exactly.
+tests require the package to agree with them exactly. The one-sentence
+regex tokenizer and the one-token FNV-1a hash live only here, with their
+own constants, so the package's array kernels are checked against code
+they do not share.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from bookpred.embedding import _hash64
-from bookpred.textstats import TextCounts, count_syllables, tokenize_words
+from bookpred.textstats import TextCounts, count_syllables
+
+# Letters/digits (no underscore), with internal apostrophes or hyphens.
+# ``[^\W_]`` matches exactly the characters ``str.isalnum()`` accepts.
+_WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
+
+# The hash's own constants, so that a changed constant in the package
+# shows as a differential failure.
+_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = 14695981039346656037
+_FNV_PRIME = 1099511628211
 
 _ABBREVIATIONS = frozenset({"mr.", "mrs.", "dr.", "st.", "vs.", "etc.", "e.g.", "i.e."})
 _TERMINATORS = ".!?"
@@ -78,13 +91,29 @@ def segment_sentences(text: str) -> list[Sentence]:
     return sentences
 
 
+def _tokenize_words(sentence: str) -> list[str]:
+    """Return the words of ``sentence``: maximal runs of letters and
+    digits, allowing internal apostrophes and hyphens. Case preserved."""
+    return _WORD_RE.findall(sentence)
+
+
+def _hash64(token: str, seed: int) -> int:
+    """Seeded FNV-1a over the token's UTF-8 bytes. Stable across runs
+    and processes (unlike builtin hash)."""
+    h = (_FNV_OFFSET ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
+    for byte in token.encode("utf-8"):
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
 def encode_hashed_bow(sentences: list[str], dim: int = 512, seed: int = 0) -> np.ndarray:
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
     out = np.zeros((len(sentences), dim))
     for i, sentence in enumerate(sentences):
         row = out[i]
-        for token in tokenize_words(sentence):
+        for token in _tokenize_words(sentence):
             h = _hash64(token.lower(), seed)
             bucket = (h >> 1) % dim
             sign = 1.0 if h & 1 == 0 else -1.0
@@ -101,7 +130,7 @@ def counts_from_sentences(sentences: list[Sentence]) -> TextCounts:
     syllables = 0
     polysyllables = 0
     for sentence in sentences:
-        for token in tokenize_words(sentence.text):
+        for token in _tokenize_words(sentence.text):
             words += 1
             characters += sum(1 for ch in token if ch.isalnum())
             syl = count_syllables(token)

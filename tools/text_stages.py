@@ -27,6 +27,8 @@ readability, as ``eval`` featurizes a batch:
 
 * ``featurize-corpus``: ``pipeline.featurize_corpus`` on all 64 books,
   which tokenizes, hashes and counts a block of up to 32 books at once;
+* ``featurize-corpus-b2v``: the same call for hashed book2vec (one chunk),
+  which fuses no readability, so the counts it still takes are wasted work;
 * ``featurize-book``: ``pipeline.featurize_book`` on each book in turn,
   one book per block, which pays those costs once per book;
 * ``featurize-cli-j1`` and ``featurize-cli-j2``: ``bookpred featurize`` of
@@ -62,6 +64,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,7 @@ from bookpred.corpus import (  # noqa: E402
     select_section,
 )
 from bookpred.embedding import encode_hashed_bow, write_embeddings  # noqa: E402
+from bookpred.net import ModelConfig  # noqa: E402
 from bookpred.pipeline import (  # noqa: E402
     STORE_COLUMNS,
     STORE_NAME,
@@ -172,7 +176,7 @@ def write_semb_dirs(root: Path, records: list, section: SectionSpec) -> tuple[Pa
     stored.mkdir()
     rng = np.random.default_rng(SEED)
     rows = [STORE_COLUMNS]
-    for record, counts in zip(records, section_counts(records, section)):
+    for record, (counts, _) in zip(records, section_counts(records, section)):
         matrix = rng.standard_normal((counts.sentences, 64))
         for directory in (counted, stored):
             write_embeddings(matrix, directory / f"{record.book_id}.semb")
@@ -206,17 +210,20 @@ def featurize_cli(manifest: Path, root: Path, jobs: int) -> None:
 def time_short_books(records: list, root: Path, repeats: int) -> dict[str, float]:
     """Median seconds over ``repeats`` passes to featurize ``records`` as
     one corpus and one book at a time, at ``first:1000`` with the hashed
-    encoder and readability, by ``bookpred featurize`` at one and two jobs,
-    and as one corpus with an external encoder whose readability is counted
-    and whose readability is stored."""
+    encoder and readability; as one corpus with hashed book2vec; by
+    ``bookpred featurize`` at one and two jobs; and as one corpus with an
+    external encoder whose readability is counted and whose readability
+    is stored."""
     section = SectionSpec("first", 1000)
     cfg = TrainConfig(section=section, encoder=EncoderConfig(dim=512))
+    b2v_cfg = replace(cfg, model=ModelConfig(arch="book2vec"))
     counted, stored = write_semb_dirs(root, records, section)
     manifest = write_manifest(root, records)
     counted_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=counted))
     stored_cfg = TrainConfig(section=section, encoder=EncoderConfig(directory=stored))
     stages = {
         "featurize-corpus": lambda: featurize_corpus(records, cfg),
+        "featurize-corpus-b2v": lambda: featurize_corpus(records, b2v_cfg),
         "featurize-book": lambda: [featurize_book(record, cfg) for record in records],
         "featurize-cli-j1": lambda: featurize_cli(manifest, root, 1),
         "featurize-cli-j2": lambda: featurize_cli(manifest, root, 2),
@@ -234,7 +241,7 @@ def time_short_books(records: list, root: Path, repeats: int) -> dict[str, float
 
 def _print_line(name: str, section: str, stage: str, seconds: float, mb: float) -> None:
     rate = mb / seconds if seconds else float("inf")
-    print(f"{name:6} {section:11} {stage:16} {seconds:8.4f} {rate:8.2f}")
+    print(f"{name:6} {section:11} {stage:20} {seconds:8.4f} {rate:8.2f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         f"# {n_books} books of {n_sentences} sentences and {n_short} short books, "
         f"seed {SEED}, median of {repeats}"
     )
-    print("set    section     stage             seconds     MB/s")
+    print("set    section     stage                 seconds     MB/s")
     with tempfile.TemporaryDirectory() as tmp:
         sets = write_books(Path(tmp), n_books, n_sentences, SEED)
         for name, records in sets.items():
