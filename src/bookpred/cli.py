@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -319,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="write readability.csv, featurized.csv, hashed .semb")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="slices of the books run at once, one worker process each "
-                   "(default: one per CPU)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="slices of the books run at once, one worker process each; "
+                   "1 (the default) starts no pool")
     _add_config_flags(p)
     p.set_defaults(func=cmd_featurize)
 

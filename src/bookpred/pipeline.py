@@ -76,7 +76,7 @@ __all__ = [
     "config_from_feature_meta",
 ]
 
-_BLOCK_BOOKS = 32  # most books featurized in one text pass
+_BLOCK_BOOKS = 32  # most books in one text pass, and in one eval or attribution block
 _BLOCK_BYTES = 1 << 18  # a block closes once its books hold more text bytes
 
 STORE_NAME = "featurized.csv"  # in a .semb directory, the stored counts of its books
@@ -117,7 +117,7 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a run is configured by. ``model.input_dim`` stays 0 until
-    ``train`` sets it from the featurized inputs."""
+    ``train`` sets it from the featurized inputs. ``batch_size`` trains only."""
 
     seed: int = 0
     epochs: int = 100
@@ -448,12 +448,12 @@ def _eval_batches(
     corpus: CorpusSet,
     cfg: TrainConfig,
 ):
-    """The inputs ``params`` takes, one ``cfg.batch_size`` block of books at
-    a time, in corpus order: yields each block's featurized books and its
+    """The inputs ``params`` takes, one block of ``_BLOCK_BOOKS`` books at a
+    time, in corpus order: yields each block's featurized books and its
     scaled readability rows (None when the model fuses no readability).
     The model's own config, not ``cfg.model``, decides the arch and the
-    chunk count. Only one block is featurized at a time, so memory is
-    bounded by the batch, not the corpus."""
+    chunk count; ``cfg.batch_size`` is not read. Only one block is
+    featurized at a time, so memory is bounded by the block, not the corpus."""
     mc = params.config
     if cfg.encoder.kind == "hashed" and cfg.encoder.dim != mc.input_dim:
         raise ValueError(
@@ -462,7 +462,7 @@ def _eval_batches(
     if mc.use_readability and scaler is None:
         raise ValueError("model uses readability but no scaler was provided")
     cfg = replace(cfg, model=mc)
-    for block in _blocks(len(corpus), cfg.batch_size):
+    for block in _blocks(len(corpus), _BLOCK_BOOKS):
         x, raw = featurize_corpus(corpus[block], cfg)
         yield x, (apply_scaler(scaler, raw) if mc.use_readability else None)
 
@@ -473,7 +473,7 @@ def predict_corpus(
     corpus: CorpusSet,
     cfg: TrainConfig,
 ) -> list[BookPrediction]:
-    """Eval-mode predictions for every book, in corpus order."""
+    """Eval-mode predictions for every book, in corpus order; ``batch_size`` is not read."""
     preds = _predict_blocks(params, _eval_batches(params, scaler, corpus, cfg))
     return [
         BookPrediction(
@@ -543,8 +543,8 @@ def attribute_readability(
     cfg: TrainConfig,
     target: str = "logit",
 ) -> AttributionReport:
-    """Mean gradient of the Successful output with respect to the 5
-    scaled readability inputs over the test books (eval mode)."""
+    """Mean gradient of the Successful output with respect to the 5 scaled
+    readability inputs over the test books (eval mode; ``batch_size`` is not read)."""
     if not params.config.use_readability:
         raise ValueError("model was trained without readability fusion")
     if len(test) == 0:

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import shutil
 import struct
 import tracemalloc
@@ -154,13 +153,13 @@ class TestFeaturizeCommand:
         return code, files, out, err
 
     def test_process_pool_writes_what_one_process_writes(self, corpus_dir, tmp_path, capsys):
-        """Without --jobs, featurize runs one worker process per CPU; two
-        workers, and three, which do not divide the 20 books evenly, write the
-        same bytes, and report the same failure, as the in-process path, with
-        the hashed encoder and with an external one."""
+        """Without --jobs, featurize runs in one process; two workers, and
+        three, which do not divide the 20 books evenly, write the same bytes,
+        and report the same failure, as the in-process path, with the hashed
+        encoder and with an external one."""
         assert build_parser().parse_args(
             ["featurize", "--manifest", "m.csv", "--out", "o"]
-        ).jobs == (os.cpu_count() or 1)
+        ).jobs == 1
         manifest = self._corpus_missing_a_text(corpus_dir, tmp_path)
         hashed = ["--set", "encoder.dim=64"]
         external = ["--set", f"encoder.directory={tmp_path / 'vectors'}"]
@@ -176,14 +175,10 @@ class TestFeaturizeCommand:
             assert "book0003" in err
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("jobs", ["7", "25"])
-    def test_pool_gets_no_more_workers_than_slices(
-        self, corpus_dir, tmp_path, capsys, monkeypatch, jobs
-    ):
-        """--jobs cuts the 20 books into at most that many slices, one book
-        each when it exceeds the book count, and the pool is given no more
-        workers than slices; the bytes are those of --jobs 1. The pool is an
-        in-process stand-in, so no process starts."""
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """An in-process stand-in for ``ProcessPoolExecutor``, so no process
+        starts: each pool made appends ``[max_workers, slice sizes]``."""
         import concurrent.futures
 
         pools = []
@@ -203,6 +198,15 @@ class TestFeaturizeCommand:
                 return map(fn, slices, *args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return pools
+
+    @pytest.mark.parametrize("jobs", ["7", "25"])
+    def test_pool_gets_no_more_workers_than_slices(
+        self, corpus_dir, tmp_path, capsys, pools, jobs
+    ):
+        """--jobs cuts the 20 books into at most that many slices, one book
+        each when it exceeds the book count, and the pool is given no more
+        workers than slices; the bytes are those of --jobs 1."""
         manifest = corpus_dir / "manifest.csv"
         one = self._featurize_outputs(capsys, manifest, tmp_path / "feat", "1")
         assert pools == []
@@ -211,6 +215,17 @@ class TestFeaturizeCommand:
         [(max_workers, sizes)] = pools
         assert sum(sizes) == 20 and len(sizes) <= min(int(jobs), 20)
         assert max_workers <= len(sizes)
+
+    def test_default_run_starts_no_pool(self, corpus_dir, tmp_path, capsys, pools):
+        """A featurize run without --jobs starts no pool and writes the bytes
+        of --jobs 1."""
+        out_dir = tmp_path / "feat"
+        code, _, _ = run(capsys, "featurize", "--manifest", str(corpus_dir / "manifest.csv"),
+                         "--out", str(out_dir))
+        assert code == 0 and pools == []
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        one = self._featurize_outputs(capsys, corpus_dir / "manifest.csv", out_dir, "1")
+        assert one[:2] == (0, files)
 
     def test_peak_memory_does_not_grow_with_the_book_count(self, tmp_path, capsys):
         """Featurize holds one block of books at a time, not every book: 160

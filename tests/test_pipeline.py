@@ -426,8 +426,9 @@ def untrained_model(cfg):
 
 
 class TestEvalInBatches:
-    """Eval and attribution featurize one ``batch_size`` block of books at a
-    time, so their memory is bounded by the batch, not the test set."""
+    """Eval and attribution featurize one block of ``pipeline._BLOCK_BOOKS``
+    books at a time, so their memory is bounded by the block, not the test
+    set; ``batch_size`` trains only and changes none of their bytes."""
 
     @staticmethod
     def repeated_book_corpus(root, n_books):
@@ -458,9 +459,22 @@ class TestEvalInBatches:
                 tracemalloc.stop()
         assert peaks[400] < 1.5 * peaks[40]
 
+    def test_batch_size_changes_no_byte(self, tmp_path):
+        manifest = synth.make_token_corpus(tmp_path, n_books=48, seed=23)
+        corpus = load_corpus(manifest)
+        outputs = []
+        for batch_size in (1, 7, 32, 64):
+            cfg = TrainConfig(batch_size=batch_size, encoder=EncoderConfig(dim=512))
+            params, scaler = untrained_model(cfg)
+            probs = [p.p_successful for p in predict_corpus(params, scaler, corpus, cfg)]
+            report = attribute_readability(params, scaler, corpus, cfg)
+            outputs.append((np.array(probs).tobytes(), report.mean_gradient.tobytes()))
+        assert outputs[1:] == outputs[:1] * 3
+
     @pytest.mark.parametrize("run", [predict_corpus, attribute_readability])
     def test_featurize_corpus_gets_at_most_one_batch(self, tiny_corpus, monkeypatch, run):
-        cfg = fast_cfg(batch_size=5)
+        cfg = fast_cfg()
+        monkeypatch.setattr(pipeline, "_BLOCK_BOOKS", 5)
         params, scaler = untrained_model(cfg)
         sizes = []
         featurize_corpus = pipeline.featurize_corpus
