@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -162,7 +163,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(slices), os.cpu_count() or 1)) as pool:
             results = list(pool.map(*work))
 
     results = [x for slice_results in results for x in slice_results]
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1,
-                   help="slices of the books run at once, one worker process each; "
+                   help="slices of the books, run on at most one worker process per CPU; "
                    "1 (the default) starts no pool")
     _add_config_flags(p)
     p.set_defaults(func=cmd_featurize)

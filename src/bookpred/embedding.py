@@ -153,9 +153,9 @@ def encode_hashed_bow(
     with ``n_chunks`` exactly ``chunk_average`` of that array; with
     ``books`` too, the sentence counts of consecutive books, which must
     add up to the sentences, each book's in a (len(books), n_chunks, dim)
-    array (``out`` if given, which must be C-contiguous of that shape).
-    ``out`` without ``n_chunks`` is a ``ValueError``: the un-chunked
-    matrix is always a new array.
+    array. ``out``, if given, must be a C-contiguous array of that shape
+    ((n_sentences, dim) without ``n_chunks``, float64 or float32); the
+    result goes into it, and it is returned.
 
     No dense sentence row is built. A word's key is its (sentence,
     bucket) pair and its sign; sorted, the signs of one pair add up to an
@@ -166,11 +166,14 @@ def encode_hashed_bow(
     """
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
-    if out is not None and n_chunks is None:
-        raise ValueError("out needs n_chunks: the (n_sentences, dim) matrix is a new array")
     tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
     counts = tokens.books(books)
     n = len(tokens)
+    shape = (n, dim) if n_chunks is None else (len(counts), n_chunks, dim)
+    if out is not None and (out.shape != shape or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
+    out = np.empty(shape) if out is None else out
+    out[...] = 0.0
     hashes = _hash_vocab(tokens.vocab, seed)
     # A word's key is its pair, sentence * dim + bucket, times 2, plus 1 for
     # a sign of -1; sorted, each pair's words are one run.
@@ -187,18 +190,12 @@ def encode_hashed_bow(
     norms[norms == 0.0] = 1.0
     entries /= norms[rows]
     if n_chunks is None:
-        matrix = np.zeros((n, dim))
-        matrix.reshape(-1)[pairs] = entries
-        return matrix
+        out.reshape(-1)[pairs] = entries
+        return out
 
     sizes = np.array([size for count in counts for size in chunk_sizes(count, n_chunks)])
-    shape = (len(counts), n_chunks, dim)
-    if out is not None and (out.shape != shape or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
     # A pair's slot, chunk * dim + bucket, is the pair shifted by its row's offset.
     offsets = (np.repeat(np.arange(len(sizes)), sizes) - np.arange(n)) * dim
-    out = np.empty(shape) if out is None else out
-    out[...] = 0.0
     np.add.at(out.reshape(-1), pairs + offsets[rows], entries)
     out /= np.maximum(sizes, 1).reshape(shape[:2] + (1,))
     return out[0] if books is None else out

@@ -76,7 +76,7 @@ __all__ = [
     "config_from_feature_meta",
 ]
 
-_BLOCK_BOOKS = 32  # most books in one text pass, and in one eval or attribution block
+_BLOCK_BOOKS = 32  # most books in one text pass, and in one validation, eval or attribution pass
 _BLOCK_BYTES = 1 << 18  # a block closes once its books hold more text bytes
 
 STORE_NAME = "featurized.csv"  # in a .semb directory, the stored counts of its books
@@ -117,7 +117,8 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a run is configured by. ``model.input_dim`` stays 0 until
-    ``train`` sets it from the featurized inputs. ``batch_size`` trains only."""
+    ``train`` sets it from the featurized inputs. Validation, eval and attribution
+    predict 32 books a pass, so the batch size sets only the training minibatch."""
 
     seed: int = 0
     epochs: int = 100
@@ -222,8 +223,8 @@ def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | No
     ``encoder`` or with an external one. A hashed encoder reads no store and encodes
     each block by one ``encode_hashed_bow`` call: given the caller's (N, n_chunks, dim)
     ``out``, book i's chunk means go into ``out[i]``, which is its ``rows``; without
-    ``out``, ``rows`` are the book's own float32 sentence vectors. A block's sections
-    and tokens are freed before the next block is read."""
+    ``out``, ``rows`` are the book's own float32 sentence vectors, encoded straight to
+    float32. A block's sections and tokens are freed before the next block is read."""
     hashed = encoder is not None and encoder.kind == "hashed"
     path = not hashed and directory and Path(directory) / STORE_NAME
     store = _parse_store(path, path.read_bytes()) if path and path.exists() else {}
@@ -233,9 +234,10 @@ def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | No
         if parts and hashed:
             tokens = Sentences.join(parts).tokens()
             if out is None:
-                vectors = encode_hashed_bow(tokens, encoder.dim, encoder.seed)
-                rows = [book.astype(np.float32) for book in np.split(vectors, np.cumsum(books[:-1]))]
-                del vectors
+                vectors = np.empty((len(tokens), encoder.dim), np.float32)
+                encode_hashed_bow(tokens, encoder.dim, encoder.seed, out=vectors)
+                rows = [book.copy() for book in np.split(vectors, np.cumsum(books[:-1]))]
+                del vectors  # a copy each, so a held book keeps no block alive
             else:  # a hashed block's books are consecutive, from its first
                 rows = out[block[0][0] : block[0][0] + len(parts)]
                 encode_hashed_bow(tokens, encoder.dim, encoder.seed, out.shape[1], books, rows)
@@ -342,10 +344,11 @@ def _blocks(n: int, size: int):
     return (slice(start, start + size) for start in range(0, n, size))
 
 
-def _predict_blocks(params: ModelParams, batches) -> list[tuple[SuccessLabel, float]]:
-    """Eval-mode (label, probability) for every book of each ``(x, scaled)``
-    block, one pass per block, in order."""
-    return [pred for x, scaled in batches for pred in net.predict(params, x, scaled)]
+def _predict_blocks(params: ModelParams, x, scaled) -> list[tuple[SuccessLabel, float]]:
+    """Eval-mode (label, probability) for every book of ``x`` and its ``scaled``
+    readability rows (or None), in order, one pass per ``_BLOCK_BOOKS`` books."""
+    return [pred for b in _blocks(len(x), _BLOCK_BOOKS)
+            for pred in net.predict(params, x[b], None if scaled is None else scaled[b])]
 
 
 def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
@@ -370,10 +373,6 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     scaler = fit_scaler(raw_train) if use_readability else None
     r_train = apply_scaler(scaler, raw_train) if use_readability else None
     r_val = apply_scaler(scaler, raw_val) if use_readability else None
-    val_batches = [
-        (x_val[b], None if r_val is None else r_val[b])
-        for b in _blocks(len(val_set), cfg.batch_size)
-    ]
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss, dropout_ss = root.spawn(3)
@@ -409,7 +408,7 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
         train_loss = float(np.mean(np.concatenate(epoch_losses)))
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        val_preds = _predict_blocks(params, val_batches)
+        val_preds = _predict_blocks(params, x_val, r_val)
         val_f1 = weighted_f1([label for label, _ in val_preds], y_val)
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_weighted_f1=val_f1))
         if val_f1 > best_f1:
@@ -452,8 +451,8 @@ def _eval_batches(
     time, in corpus order: yields each block's featurized books and its
     scaled readability rows (None when the model fuses no readability).
     The model's own config, not ``cfg.model``, decides the arch and the
-    chunk count; ``cfg.batch_size`` is not read. Only one block is
-    featurized at a time, so memory is bounded by the block, not the corpus."""
+    chunk count. Only one block is featurized at a time, so memory is
+    bounded by the block, not the corpus."""
     mc = params.config
     if cfg.encoder.kind == "hashed" and cfg.encoder.dim != mc.input_dim:
         raise ValueError(
@@ -473,8 +472,9 @@ def predict_corpus(
     corpus: CorpusSet,
     cfg: TrainConfig,
 ) -> list[BookPrediction]:
-    """Eval-mode predictions for every book, in corpus order; ``batch_size`` is not read."""
-    preds = _predict_blocks(params, _eval_batches(params, scaler, corpus, cfg))
+    """Eval-mode predictions for every book, in corpus order."""
+    batches = _eval_batches(params, scaler, corpus, cfg)
+    preds = [pred for x, scaled in batches for pred in net.predict(params, x, scaled)]
     return [
         BookPrediction(
             book_id=record.book_id,
@@ -544,7 +544,7 @@ def attribute_readability(
     target: str = "logit",
 ) -> AttributionReport:
     """Mean gradient of the Successful output with respect to the 5 scaled
-    readability inputs over the test books (eval mode; ``batch_size`` is not read)."""
+    readability inputs over the test books (eval mode)."""
     if not params.config.use_readability:
         raise ValueError("model was trained without readability fusion")
     if len(test) == 0:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import shutil
 import struct
 import tracemalloc
@@ -215,6 +216,20 @@ class TestFeaturizeCommand:
         [(max_workers, sizes)] = pools
         assert sum(sizes) == 20 and len(sizes) <= min(int(jobs), 20)
         assert max_workers <= len(sizes)
+
+    def test_pool_gets_no_more_workers_than_cpus(
+        self, corpus_dir, tmp_path, capsys, pools, monkeypatch
+    ):
+        """On a 2-CPU host, --jobs 25 still cuts the 20 books into 20 slices,
+        so the bytes do not depend on the host, but the pool gets at most 2
+        workers; the bytes are those of --jobs 1."""
+        manifest = corpus_dir / "manifest.csv"
+        one = self._featurize_outputs(capsys, manifest, tmp_path / "feat", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        many = self._featurize_outputs(capsys, manifest, tmp_path / "feat", "25")
+        assert many == one and one[0] == 0
+        [(max_workers, sizes)] = pools
+        assert sizes == [1] * 20 and 1 <= max_workers <= 2
 
     def test_default_run_starts_no_pool(self, corpus_dir, tmp_path, capsys, pools):
         """A featurize run without --jobs starts no pool and writes the bytes

@@ -77,13 +77,17 @@ class TestHashedBow:
         with pytest.raises(ValueError, match="C-contiguous"):
             encode_hashed_bow(["a b", "c", "d e"], dim=8, n_chunks=3, books=[2, 1], out=out)
 
-    def test_out_without_n_chunks_rejected(self):
-        # The un-chunked matrix is always new, so an ``out`` there would be
-        # left as it was while the caller reads it.
-        out = np.full((2, 8), 7.0)
-        with pytest.raises(ValueError, match="out needs n_chunks"):
-            encode_hashed_bow(["a b", "c"], dim=8, out=out)
-        assert (out == 7.0).all()
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_out_without_n_chunks_receives_the_matrix(self, dtype):
+        # An ``out`` left as it was while the caller reads it was a bug: the
+        # un-chunked matrix goes into it, zeros too, and it is returned.
+        sentences = ["a b a", "", "c d e f g h i j k"]
+        out = np.full((3, 8), 7.0, dtype)
+        assert encode_hashed_bow(sentences, dim=8, out=out) is out
+        assert out.tobytes() == encode_hashed_bow(sentences, dim=8).astype(dtype).tobytes()
+        for bad in (np.zeros((3, 9)), np.zeros((8, 3)).T):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                encode_hashed_bow(sentences, dim=8, out=bad)
 
     @pytest.mark.parametrize("books", [[1, 1], [2, 2], [4, -1]])
     def test_books_must_add_up_to_the_sentences(self, books):

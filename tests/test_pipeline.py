@@ -428,7 +428,8 @@ def untrained_model(cfg):
 class TestEvalInBatches:
     """Eval and attribution featurize one block of ``pipeline._BLOCK_BOOKS``
     books at a time, so their memory is bounded by the block, not the test
-    set; ``batch_size`` trains only and changes none of their bytes."""
+    set; validation predicts in the same blocks. ``batch_size`` sets only the
+    training minibatch and changes none of their bytes."""
 
     @staticmethod
     def repeated_book_corpus(root, n_books):
@@ -470,6 +471,26 @@ class TestEvalInBatches:
             report = attribute_readability(params, scaler, corpus, cfg)
             outputs.append((np.array(probs).tobytes(), report.mean_gradient.tobytes()))
         assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_validation_predicts_in_blocks(self, tmp_path, monkeypatch, batch_size):
+        """Each epoch's validation cuts the validation books into blocks of
+        ``_BLOCK_BOOKS``, whatever the training minibatch; training itself
+        makes no ``net.predict`` call."""
+        corpus = load_corpus(synth.make_token_corpus(tmp_path, n_books=48, seed=29))
+        cfg = fast_cfg(epochs=2, batch_size=batch_size, val_fraction=0.75)
+        rows = []
+        predict = net.predict
+
+        def recording(params, x, scaled):
+            rows.append(len(x))
+            assert scaled is not None and len(scaled) == len(x)
+            return predict(params, x, scaled)
+
+        monkeypatch.setattr(net, "predict", recording)
+        train(corpus, cfg)
+        assert pipeline._BLOCK_BOOKS == 32
+        assert rows == [32, 4] * 2  # 2 epochs of 36 validation books, round(0.75 * 48)
 
     @pytest.mark.parametrize("run", [predict_corpus, attribute_readability])
     def test_featurize_corpus_gets_at_most_one_batch(self, tiny_corpus, monkeypatch, run):
