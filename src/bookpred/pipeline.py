@@ -136,12 +136,10 @@ class TrainConfig:
 
 
 def _read_section(record: BookRecord, section: SectionSpec) -> Sentences:
-    """The configured section of one book, segmenting for ``first:K`` only a
-    prefix that holds K sentences; none is a ``FeaturizationError``."""
+    """One book's configured section, segmenting for ``first:K`` only a prefix that holds
+    K sentences; none is a ``FeaturizationError``, an unreadable text an ``OSError``."""
     try:
         text = record.text_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FeaturizationError(f"book {record.book_id}: cannot read text ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise FeaturizationError(
             f"book {record.book_id}: cannot decode text as UTF-8 ({exc})"
@@ -154,8 +152,8 @@ def _read_section(record: BookRecord, section: SectionSpec) -> Sentences:
 
 
 def _section_matrix(record: BookRecord, cfg: TrainConfig) -> np.ndarray:
-    """The configured section's rows of one book's .semb matrix, whose dim
-    must be ``cfg.model.input_dim`` once a checkpoint or training sets it."""
+    """The configured section's rows of one book's .semb matrix, whose dim must be
+    ``cfg.model.input_dim`` once a checkpoint, training or a first book sets it."""
     semb_path = cfg.encoder.directory / f"{record.book_id}.semb"
     try:
         matrix = load_embeddings(semb_path)
@@ -307,13 +305,9 @@ def featurize_corpus(
     for i, (record, item) in enumerate(zip(corpus, stream)):  # a malformed store raises first
         if enc.kind == "external":
             means = chunk_average(_section_matrix(record, cfg), n_chunks)
-            if x is None:
+            if x is None:  # the first book's dim is every later book's
                 x = np.empty((len(corpus),) + means.shape)
-            elif means.shape != x.shape[1:]:
-                dims = sorted({x.shape[-1], means.shape[-1]})
-                raise FeaturizationError(
-                    f"book {record.book_id}: inconsistent embedding dims across corpus: {dims}"
-                )
+                cfg = replace(cfg, model=replace(cfg.model, input_dim=means.shape[-1]))
             x[i] = means
         if isinstance(item, FeaturizationError):
             raise item
@@ -666,8 +660,8 @@ def config_from_feature_meta(
     external encoder needs (it is not stored in checkpoints) and is not used for
     a hashed one. Each value is stored under its config key with ``_`` for ``.``
     and read by ``net.from_json``; a missing, mistyped or rejected one is a
-    ``net.CheckpointError``. The model config is the one source of ``n_chunks``: a
-    cnn's stored copy must agree with it, and a book2vec's is not read (older files store 50)."""
+    ``net.CheckpointError`` naming its key. A hashed ``encoder_dim`` and a cnn's ``n_chunks``
+    must be the model's own; a book2vec's ``n_chunks`` is not checked (older files store 50)."""
     stored = feature_meta(TrainConfig())
     missing = [key for key in stored if key not in meta]
     if missing:
@@ -677,24 +671,17 @@ def config_from_feature_meta(
         raise net.CheckpointError(f"checkpoint featurization encoder_kind {kind!r} is unknown")
     if kind == "external" and semb_dir is None:
         raise ValueError("external encoder needs a directory of .semb files")
-    held: dict = {}  # the stored values read: a config check's own error names no stored key
-
-    def read(key, leaf_type):
-        if key.startswith("model."):
-            return getattr(model_config, key[len("model."):])
-        if key == "encoder.directory":
-            return semb_dir if kind == "external" else None
-        name = key.replace(".", "_")
-        if name not in stored:
-            return None
-        held[name] = meta[name]
-        return net.from_json(name, leaf_type, meta[name])
-
     try:
-        cfg = net.build_config(TrainConfig, read)
+        section = net.from_json("section", SectionSpec, meta["section"])
         n_chunks = net.from_json("n_chunks", int, meta["n_chunks"])
+        dim = net.from_json("encoder_dim", int, meta["encoder_dim"])
+        seed = net.from_json("encoder_seed", int, meta["encoder_seed"])
         if model_config.arch == "cnn" and n_chunks != model_config.n_chunks:
             raise ValueError(f"n_chunks {n_chunks} is not its model's {model_config.n_chunks}")
+        if kind == "hashed" and model_config.input_dim and dim != model_config.input_dim:
+            raise ValueError(f"encoder_dim {dim} is not its model's input_dim "
+                             f"{model_config.input_dim}")
+        encoder = EncoderConfig(dim, seed, semb_dir if kind == "external" else None)
     except ValueError as exc:
-        raise net.CheckpointError(f"bad checkpoint featurization: {exc} (read {held})") from None
-    return cfg
+        raise net.CheckpointError(f"bad checkpoint featurization: {exc}") from None
+    return TrainConfig(section=section, encoder=encoder, model=model_config)

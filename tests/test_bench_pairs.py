@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py`` on canned benchmark results: no run starts."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -111,3 +112,26 @@ def test_a_differing_parent_is_refused_before_any_run(tmp_path, capsys, monkeypa
     parent = checkout(tmp_path / "parent", b"x = 1\n", b"{}")
     assert bench_pairs.main([str(parent), "--pairs", "1"]) == 1
     assert capsys.readouterr().out.startswith("refused: perfbench/ or BENCHMARK.json differ")
+
+
+@pytest.mark.parametrize("tunables", [None, "glibc.malloc.mmap_threshold=131072"])
+def test_provenance_records_the_allocator_setting(tmp_path, monkeypatch, tunables):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(root, command, workload, seed, seconds, trace, size):
+        return {**result(1.0, 1.0, 1.0), "metrics": {n: {"value": 1.0} for n in names},
+                "provenance": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "differing", lambda parent, change: [])
+    if tunables is None:
+        monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+    else:
+        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+    out = tmp_path / "bench.json"
+    workload = spec["workloads"][0]["name"]
+    argv = [str(tmp_path), "--pairs", "1", "--workload", workload, "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    prov = json.loads(out.read_text(encoding="utf-8"))["provenance"]
+    assert "glibc_tunables" in prov and prov["glibc_tunables"] == tunables

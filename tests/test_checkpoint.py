@@ -51,8 +51,10 @@ def test_feature_meta_type_names_key(key):
 
 
 # Well-typed featurization values that the config rejects: no such section,
-# and a hashed encoder narrower than 8.
-@pytest.mark.parametrize("key, value", [("section", "middle:3"), ("encoder_dim", 4)])
+# a hashed encoder narrower than 8, and one wider than its model's input_dim.
+@pytest.mark.parametrize(
+    "key, value", [("section", "middle:3"), ("encoder_dim", 4), ("encoder_dim", 32)]
+)
 def test_feature_meta_of_right_type_but_bad_content_names_key(key, value):
     cfg = TrainConfig(encoder=EncoderConfig(dim=64), model=ModelConfig(n_chunks=10))
     meta = {**pipeline.feature_meta(cfg), key: value}

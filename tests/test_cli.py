@@ -457,6 +457,7 @@ class TestTrainEvalFlow:
             ("extra", "first:1000"),
             ("section", "middle:3"),  # well typed, but no section
             ("encoder_dim", 4),  # well typed, but too narrow for the hashed encoder
+            ("encoder_dim", 32),  # well typed, but not the model's input_dim 64
         ],
     )
     def test_checkpoint_mistyped_featurization_value_exits_one(
@@ -596,22 +597,25 @@ class TestExportVectorsCommand:
         assert len(lines) == 21
         assert len(lines[0].split(",")) == 66
 
-    def test_semb_files_of_different_dims_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["export-vectors", "train"])
+    def test_semb_files_of_different_dims_exit_one(self, tmp_path, capsys, command):
         manifest = synth.make_readability_corpus(
             tmp_path, n_books=4, seed=5, embedding_dim=8, sentences_per_book=(5, 8)
         )
-        write_embeddings(np.ones((6, 5)), tmp_path / "semb" / "book0002.semb")
-        out_csv = tmp_path / "vectors.csv"
+        odd = tmp_path / "semb" / "book0002.semb"
+        write_embeddings(np.ones((6, 5)), odd)
         code, _, err = run(
             capsys,
-            "export-vectors",
+            command,
             "--manifest", str(manifest),
-            "--out", str(out_csv),
+            "--out", str(tmp_path / "out"),
             "--semb-dir", str(tmp_path / "semb"),
+            # seed 1 puts book0002 second in the training split, not in validation
+            *(["--seed", "1", "--set", "epochs=1"] if command == "train" else []),
         )
         assert code == 1
-        assert "inconsistent embedding dims" in err and "[5, 8]" in err
-        assert "book0002" in err
+        assert f"book book0002: {odd} has dim 5" in err
+        assert "the model expects input_dim=8" in err
 
 
 class TestExternalEncoderEval:

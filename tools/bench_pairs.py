@@ -30,7 +30,9 @@ metric's relative bound and a verdict:
 * ``within``: neither.
 
 It prints a Markdown table and, with ``--out``, writes everything, with the
-provenance of both sides, as JSON.
+provenance of both sides, as JSON. The provenance records ``GLIBC_TUNABLES``
+(``None`` when unset), which every run inherits: glibc's allocator settings
+move the later ops of a run.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
                       for k in ("git_commit", "python", "numpy", "blas", "blas_threads")}}
             for side in SIDES}
     prov.update(nproc=os.cpu_count(), seed=SEED, seconds=seconds, pairs=args.pairs,
-                size=args.size, first=first)
+                size=args.size, first=first, glibc_tunables=os.environ.get("GLIBC_TUNABLES"))
     print(table(summary))
     if args.out:
         args.out.write_text(json.dumps({"provenance": prov, "workloads": summary}, indent=1) + "\n",
