@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from pathlib import Path
 
 from . import net, pipeline
 from .corpus import SuccessLabel, load_corpus
-from .embedding import SembError, write_embeddings
+from .embedding import SembError, write_atomically, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError, section_counts
 from .readability import INDEX_NAMES, readability_vector
@@ -169,10 +170,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     results = [x for slice_results in results for x in slice_results]
     failures = [(r.book_id, x) for r, x in zip(corpus, results) if isinstance(x, str)]
     written = [x for x in results if not isinstance(x, str)]
-    with open(out_dir / "readability.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([_READABILITY_HEADER] + [row for row, _ in written])
-    with open(out_dir / pipeline.STORE_NAME, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([pipeline.STORE_COLUMNS] + [row for _, row in written])
+    texts = [io.StringIO(), io.StringIO()]  # both files are made before either is replaced
+    for text, rows in zip(texts, zip([_READABILITY_HEADER, pipeline.STORE_COLUMNS], *written)):
+        csv.writer(text).writerows(rows)
+    for text, name in zip(texts, ["readability.csv", pipeline.STORE_NAME]):
+        write_atomically(out_dir / name, [text.getvalue().encode("utf-8")])
 
     print(f"featurized {len(corpus) - len(failures)} of {len(corpus)} books into {out_dir}")
     for book_id, err in failures:

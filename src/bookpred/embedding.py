@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -205,15 +205,15 @@ def write_atomically(path: str | Path, parts: list[bytes]) -> None:
     """Write the byte strings ``parts`` to a temp file in ``path``'s
     directory and rename it to ``path``, so readers see the old file or the
     whole new one; on any exception the temp file is removed."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"  # created as open() would: the umask sets its mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(parts)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
 
 

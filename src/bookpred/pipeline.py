@@ -334,14 +334,14 @@ class TrainResult:
     final_params: ModelParams
 
 
-def _blocks(n: int, size: int):
-    return (slice(start, start + size) for start in range(0, n, size))
+def _blocks(n: int, size: int, first: int = 0):
+    return (slice(start, start + size) for start in range(first, n, size))
 
 
-def _predict_blocks(params: ModelParams, x, scaled) -> list[tuple[SuccessLabel, float]]:
-    """Eval-mode (label, probability) for every book of ``x`` and its ``scaled``
-    readability rows (or None), in order, one pass per ``_BLOCK_BOOKS`` books."""
-    return [pred for b in _blocks(len(x), _BLOCK_BOOKS)
+def _predict_blocks(params: ModelParams, x, scaled, first) -> list[tuple[SuccessLabel, float]]:
+    """Eval-mode (label, probability) for the books of ``x`` from row ``first`` on, with their
+    ``scaled`` readability rows (or None), in order, one pass per ``_BLOCK_BOOKS`` books."""
+    return [pred for b in _blocks(len(x), _BLOCK_BOOKS, first)
             for pred in net.predict(params, x[b], None if scaled is None else scaled[b])]
 
 
@@ -358,15 +358,12 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
     train_set, val_set = split_train_val(corpus, cfg.val_fraction, cfg.seed)
+    n_train = len(train_set)  # the inputs' first n_train rows train, the rest validate
 
-    use_readability = cfg.model.use_readability
-    x_train, raw_train = featurize_corpus(train_set, cfg)
-    model_cfg = replace(cfg.model, input_dim=x_train.shape[-1])
-    x_val, raw_val = featurize_corpus(val_set, replace(cfg, model=model_cfg))
-
-    scaler = fit_scaler(raw_train) if use_readability else None
-    r_train = apply_scaler(scaler, raw_train) if use_readability else None
-    r_val = apply_scaler(scaler, raw_val) if use_readability else None
+    x, raw = featurize_corpus(train_set + val_set, cfg)
+    model_cfg = replace(cfg.model, input_dim=x.shape[-1])
+    scaler = fit_scaler(raw[:n_train]) if cfg.model.use_readability else None
+    scaled = None if scaler is None else apply_scaler(scaler, raw)
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss, dropout_ss = root.spawn(3)
@@ -375,23 +372,21 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
     rng_dropout = np.random.default_rng(dropout_ss)
     adam = net.AdamState.zeros(params)
 
-    y_train = [r.label for r in train_set]
-    y_val = [r.label for r in val_set]
+    y = [r.label for r in train_set + val_set]
 
     history: list[EpochStats] = []
     best_f1 = -1.0
     best_epoch = 0
     best_params = params.copy()
 
-    n_train = len(train_set)
     for epoch in range(1, cfg.epochs + 1):
         order = rng_shuffle.permutation(n_train)
         epoch_losses: list[np.ndarray] = []
         for batch in _blocks(n_train, cfg.batch_size):
             rows = order[batch]
-            labels = [y_train[i] for i in rows]
+            labels = [y[i] for i in rows]
             logits, cache = net.forward(
-                params, x_train, r_train, train_mode=True, rng=rng_dropout, rows=rows
+                params, x, scaled, train_mode=True, rng=rng_dropout, rows=rows
             )
             epoch_losses.append(net.loss(logits, labels))
             grads, _ = net.backward(params, cache, labels)
@@ -402,8 +397,8 @@ def train(corpus: CorpusSet, cfg: TrainConfig) -> TrainResult:
         train_loss = float(np.mean(np.concatenate(epoch_losses)))
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        val_preds = _predict_blocks(params, x_val, r_val)
-        val_f1 = weighted_f1([label for label, _ in val_preds], y_val)
+        val_preds = _predict_blocks(params, x, scaled, n_train)
+        val_f1 = weighted_f1([label for label, _ in val_preds], y[n_train:])
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_weighted_f1=val_f1))
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -681,6 +676,8 @@ def config_from_feature_meta(
         if kind == "hashed" and model_config.input_dim and dim != model_config.input_dim:
             raise ValueError(f"encoder_dim {dim} is not its model's input_dim "
                              f"{model_config.input_dim}")
+        if kind == "hashed" and dim < 8:  # EncoderConfig's own message names the CLI key
+            raise ValueError(f"hashed encoder needs encoder_dim >= 8, got {dim}")
         encoder = EncoderConfig(dim, seed, semb_dir if kind == "external" else None)
     except ValueError as exc:
         raise net.CheckpointError(f"bad checkpoint featurization: {exc}") from None

@@ -51,15 +51,22 @@ def test_feature_meta_type_names_key(key):
 
 
 # Well-typed featurization values that the config rejects: no such section,
-# a hashed encoder narrower than 8, and one wider than its model's input_dim.
+# a hashed encoder narrower than 8, one that is not its model's input_dim, and
+# one narrower than 8 on a model of its own dim, which only a hand-made file holds.
 @pytest.mark.parametrize(
-    "key, value", [("section", "middle:3"), ("encoder_dim", 4), ("encoder_dim", 32)]
+    "key, value, input_dim",
+    [
+        pytest.param("section", "middle:3", 64, id="section-middle:3"),
+        pytest.param("encoder_dim", 4, 64, id="encoder_dim-4"),
+        pytest.param("encoder_dim", 32, 64, id="encoder_dim-32"),
+        pytest.param("encoder_dim", 4, 4, id="encoder_dim-4-on-a-dim-4-model"),
+    ],
 )
-def test_feature_meta_of_right_type_but_bad_content_names_key(key, value):
+def test_feature_meta_of_right_type_but_bad_content_names_key(key, value, input_dim):
     cfg = TrainConfig(encoder=EncoderConfig(dim=64), model=ModelConfig(n_chunks=10))
     meta = {**pipeline.feature_meta(cfg), key: value}
     with pytest.raises(net.CheckpointError, match=key):
-        pipeline.config_from_feature_meta(meta, tiny_config(input_dim=64))
+        pipeline.config_from_feature_meta(meta, tiny_config(input_dim=input_dim))
 
 
 def test_feature_meta_of_right_types_round_trips():

@@ -173,6 +173,12 @@ class TestSembRoundTrip:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_write_gives_the_mode_open_gives(self, tmp_path):
+        # The umask sets an atomically written file's mode, as it does a plain file's.
+        (tmp_path / "plain").write_bytes(b"")
+        write_embeddings(np.zeros((3, 8), dtype=np.float32), tmp_path / "m.semb")
+        assert (tmp_path / "m.semb").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
 
 def _save_small_checkpoint(path):
     config = net.ModelConfig(

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from bookpred import pipeline, synth
+from bookpred import cli, pipeline, synth
 from bookpred.cli import main
 from bookpred.corpus import load_corpus
 from bookpred.textstats import TextCounts
@@ -105,6 +105,37 @@ def test_external_featurize_writes_what_synth_stored(made, tmp_path, capsys):
     assert [[row[k] for k in pinned[:1] + pinned[3:]] for row in readability] == [
         [row[k] for k in pinned[:1] + pinned[3:]] for row in stored
     ]
+
+
+class _Unwritable:
+    """A field whose text cannot be made, so a write fails partway through its file."""
+
+    def __str__(self):
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("target, name", [(cli, "_counts_row"), (pipeline, "store_row")],
+                         ids=["readability.csv", "featurized.csv"])
+def test_a_failed_featurize_leaves_the_previous_files(corpus, capsys, monkeypatch, target,
+                                                      name):
+    # The README's store-only rewrite, in the vectors' own directory: a write that
+    # fails at the last book's row leaves both files as they were, and no temp file.
+    semb, manifest = corpus / "semb", corpus / "manifest.csv"
+    argv = ["featurize", "--manifest", manifest, "--out", semb,
+            "--set", f"encoder.directory={semb}"]
+    assert run(capsys, *argv)[0] == 0
+    before = {path.name: path.read_bytes() for path in semb.iterdir()}
+    write_row = getattr(target, name)
+    last = load_corpus(manifest)[-1].book_id
+
+    def failing(book, *args):  # a book id for _counts_row, a record for store_row
+        row = write_row(book, *args)
+        return row + [_Unwritable()] if getattr(book, "book_id", book) == last else row
+
+    monkeypatch.setattr(target, name, failing)
+    code, _, err = run(capsys, *argv, "--set", "section=last:5")
+    assert (code, err) == (1, "error: No space left on device\n")
+    assert {path.name: path.read_bytes() for path in semb.iterdir()} == before
 
 
 def test_external_featurize_isolates_an_unreadable_book(corpus, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import text_reference as ref
 from bookpred import embedding, net, pipeline, synth, textstats
-from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section
+from bookpred.corpus import SectionSpec, SuccessLabel, load_corpus, select_section, split_train_val
 from bookpred.embedding import book_average, chunk_average, load_embeddings, write_embeddings
 from bookpred.metrics import weighted_f1
 from bookpred.net import ModelConfig
@@ -104,6 +104,25 @@ class TestTrain:
             predict_corpus(result.params, result.scaler, tiny_corpus, cfg)
         )
         assert 0.0 <= report.weighted_f1 <= 1.0
+
+    @pytest.mark.parametrize("encoder", ["hashed", "semb"])
+    def test_one_featurization_pass_per_run(self, tiny_corpus, tiny_semb_dir, monkeypatch,
+                                            encoder):
+        # Training and validation books are featurized together, training books
+        # first, so a .semb run also reads its directory once.
+        directory = tiny_semb_dir if encoder == "semb" else None
+        cfg = fast_cfg(encoder=EncoderConfig(dim=64, directory=directory))
+        calls = []
+        featurize_corpus = pipeline.featurize_corpus
+
+        def recording(corpus, cfg):
+            calls.append(corpus)
+            return featurize_corpus(corpus, cfg)
+
+        monkeypatch.setattr(pipeline, "featurize_corpus", recording)
+        train(tiny_corpus, cfg)
+        train_set, val_set = split_train_val(tiny_corpus, cfg.val_fraction, cfg.seed)
+        assert calls == [train_set + val_set]
 
     def test_missing_text_names_book(self, tmp_path):
         rows = ["book_id,genre,avg_rating,n_ratings,label,text_path"]
