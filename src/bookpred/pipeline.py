@@ -293,9 +293,9 @@ def featurize_corpus(
     fixes one chunk), plus the (N, 5) raw readability scores if ``cfg.model``
     fuses them (else None). One pass over ``section_counts`` gives both: a
     hashed encoder's into a preallocated array, an external one's from each
-    book's .semb file, loaded before the book's own error is raised. An
-    external encoder without readability reads no text. A book-by-book pass
-    would raise the same first error."""
+    book's .semb file, loaded before the book's own error is raised and, with
+    readability, checked to hold one row per sentence. Without readability an
+    external encoder reads no text. A book-by-book pass raises the same first error."""
     n_chunks, enc = cfg.model.n_chunks, cfg.encoder
     readability = np.empty((len(corpus), N_READABILITY)) if cfg.model.use_readability else None
     x = np.empty((len(corpus), n_chunks, enc.dim)) if enc.kind == "hashed" and corpus else None
@@ -304,7 +304,8 @@ def featurize_corpus(
         stream = section_counts(corpus, cfg.section, enc.directory, enc, x)
     for i, (record, item) in enumerate(zip(corpus, stream)):  # a malformed store raises first
         if enc.kind == "external":
-            means = chunk_average(_section_matrix(record, cfg), n_chunks)
+            matrix = _section_matrix(record, cfg)
+            means = chunk_average(matrix, n_chunks)
             if x is None:  # the first book's dim is every later book's
                 x = np.empty((len(corpus),) + means.shape)
                 cfg = replace(cfg, model=replace(cfg.model, input_dim=means.shape[-1]))
@@ -312,6 +313,10 @@ def featurize_corpus(
         if isinstance(item, FeaturizationError):
             raise item
         if readability is not None:
+            if enc.kind == "external" and len(matrix) != item[0].sentences:
+                raise FeaturizationError(f"book {record.book_id}: {enc.directory / record.book_id}.semb "
+                                         f"has {len(matrix)} rows in section {cfg.section}, its text "
+                                         f"{item[0].sentences} sentences")
             readability[i] = _scores(record, item[0])
     if x is None:
         return np.zeros((0,)), readability

@@ -79,7 +79,7 @@ def test_sides_alternate_which_runs_first():
         calls.append((root.name, w, trace))
         return len(calls)
 
-    runs, traced, first = bench_pairs.run_pairs(roots, ["a", "b"], 3, run)
+    runs, traced, first = bench_pairs.run_pairs(roots, ["a", "b"], 3, run, "parent")
     assert first == ["parent", "change", "parent", "change"]
     assert calls[:8] == [("p", "a", 0), ("c", "a", 0), ("p", "b", 0), ("c", "b", 0),
                          ("c", "a", 0), ("p", "a", 0), ("c", "b", 0), ("p", "b", 0)]
@@ -87,6 +87,14 @@ def test_sides_alternate_which_runs_first():
     # the traced runs are one more pair, alternating on, each side right after the other
     assert calls[12:] == [("c", "a", 1), ("p", "a", 1), ("c", "b", 1), ("p", "b", 1)]
     assert traced == {"parent": {"a": 14, "b": 16}, "change": {"a": 13, "b": 15}}
+    # a start on the change side mirrors every pair
+    calls.clear()
+    runs, traced, first = bench_pairs.run_pairs(roots, ["a"], 2, run, "change")
+    assert first == ["change", "parent", "change"]
+    assert calls == [("c", "a", 0), ("p", "a", 0), ("p", "a", 0), ("c", "a", 0),
+                     ("c", "a", 1), ("p", "a", 1)]
+    assert runs == {"parent": {"a": [2, 3]}, "change": {"a": [1, 4]}}
+    assert traced == {"parent": {"a": 6}, "change": {"a": 5}}
 
 
 def checkout(root: Path, bench: bytes, spec: bytes) -> Path:
@@ -135,3 +143,4 @@ def test_provenance_records_the_allocator_setting(tmp_path, monkeypatch, tunable
     assert bench_pairs.main(argv) == 0
     prov = json.loads(out.read_text(encoding="utf-8"))["provenance"]
     assert "glibc_tunables" in prov and prov["glibc_tunables"] == tunables
+    assert prov["first"] in (["parent", "change"], ["change", "parent"])

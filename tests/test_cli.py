@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -889,3 +892,14 @@ class TestConfigHandling:
         assert main(argv(b)) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("bookpred ")]
+    assert len(commands) >= 12
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

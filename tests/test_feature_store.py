@@ -15,6 +15,7 @@ import pytest
 from bookpred import cli, pipeline, synth
 from bookpred.cli import main
 from bookpred.corpus import load_corpus
+from bookpred.embedding import load_embeddings, write_embeddings
 from bookpred.textstats import TextCounts
 
 SMALL = ["--set", "epochs=2", "--set", "model.filters_per_window=2",
@@ -190,6 +191,19 @@ def test_an_earlier_books_error_comes_first(corpus, tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", checkpoint, "--manifest", manifest, *semb)
     assert code == 1
     assert err.startswith("error: book book0002: cannot read text")
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_a_semb_one_row_short_exits_one_naming_the_book(corpus, tmp_path, capsys, store):
+    semb = corpus / "semb" / "book0003.semb"
+    write_embeddings(load_embeddings(semb)[:-1], semb)
+    if not store:
+        (corpus / "semb" / pipeline.STORE_NAME).unlink()
+    code, _, err = run(capsys, "train", "--manifest", corpus / "manifest.csv", "--out",
+                       tmp_path / "m.bpmd", "--semb-dir", corpus / "semb", *SMALL)
+    assert code == 1
+    assert err.startswith(f"error: book book0003: {semb} has ")
+    assert " rows in section first:1000, its text " in err
 
 
 def _replace_field(line: str, column: str, value: str) -> str:

@@ -18,6 +18,7 @@ from bookpred.corpus import BookRecord, Genre, SectionSpec, SuccessLabel
 from bookpred.embedding import write_embeddings
 from bookpred.net import ModelConfig
 from bookpred.pipeline import EncoderConfig, FeaturizationError, TrainConfig
+from bookpred.textstats import split_sentences
 
 # Pieces that sit where one book's section meets the next one's in a
 # block: words, in-word joiners, terminators, blank lines, and characters
@@ -43,15 +44,19 @@ _CAPS = [(pipeline._BLOCK_BOOKS, pipeline._BLOCK_BYTES), (3, 1 << 18), (32, 40),
 
 def _corpus(root: Path, texts: list[str], n_books: int) -> tuple:
     """``n_books`` books cycling through ``texts``, each with a .semb file
-    of 1-5 rows of dim 8 under ``root / "semb"``. A lone surrogate is
-    written as its UTF-8-style bytes, which makes the book unreadable."""
+    of dim 8 under ``root / "semb"`` that holds one row per sentence of its
+    text, and at least one. A lone surrogate is written as its UTF-8-style
+    bytes, which makes the book unreadable; its .semb has one row."""
     (root / "semb").mkdir()
     rng = np.random.default_rng(len(texts) + n_books)
     records = []
     for i in range(n_books):
+        text = texts[i % len(texts)]
         path = root / f"b{i}.txt"
-        path.write_bytes(texts[i % len(texts)].encode("utf-8", "surrogatepass"))
-        write_embeddings(rng.standard_normal((1 + i % 5, 8)), root / "semb" / f"b{i}.semb")
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        decodable = not any("\ud800" <= c <= "\udfff" for c in text)
+        rows = max(1, len(split_sentences(text))) if decodable else 1
+        write_embeddings(rng.standard_normal((rows, 8)), root / "semb" / f"b{i}.semb")
         records.append(BookRecord(f"b{i}", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, path))
     return tuple(records)
 

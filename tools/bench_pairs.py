@@ -13,10 +13,12 @@ Each run is ``python3 perfbench/run.py --workload W --seed 11 --seconds S
 --trace 0`` (the command of ``BENCHMARK.json``, then the options) in one
 checkout; the tool reads the JSON object on its last line. The seed is fixed
 (``SEED``); ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``. In
-each pair every workload runs once per side, one side right after the other,
-and the side that runs first alternates from pair to pair. One more pair,
-alternating on, runs with ``--trace 1`` for the per-layer metrics, so host
-drift reaches both sides' traced runs alike.
+each pair every workload runs once per side, one side right after the other.
+The side that runs first is drawn at random for the first pair of each call,
+so that a set of one-pair calls does not tie a side to the run order, and
+alternates from pair to pair after it. One more pair, alternating on, runs
+with ``--trace 1`` for the per-layer metrics, so host drift reaches both
+sides' traced runs alike.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the
 result holds each side's median, quartiles and raw values, the change's wins
@@ -41,6 +43,7 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import statistics
 import subprocess
 import sys
@@ -92,10 +95,11 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
     return result
 
 
-def run_pairs(roots: dict[str, Path], workloads, pairs: int, run) -> tuple[dict, dict, list]:
+def run_pairs(roots: dict[str, Path], workloads, pairs: int, run,
+              start: str) -> tuple[dict, dict, list]:
     """``pairs`` alternating pairs of ``run(root, workload, trace)`` for each
-    workload on both sides, the parent first in even pairs and the change
-    first in odd ones, with ``trace`` 0; then one more pair, alternating on,
+    workload on both sides, the ``start`` side first in even pairs and the
+    other first in odd ones, with ``trace`` 0; then one more pair, alternating on,
     with ``trace`` 1. Returns each side's untraced results per workload, its
     traced result per workload, and who went first in each pair (the traced
     pair last)."""
@@ -103,7 +107,7 @@ def run_pairs(roots: dict[str, Path], workloads, pairs: int, run) -> tuple[dict,
     traced = {side: {} for side in SIDES}
     first = []
     for i in range(pairs + 1):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        order = SIDES if (i % 2 == 0) == (start == SIDES[0]) else SIDES[::-1]
         first.append(order[0])
         for w in workloads:
             for side in order:
@@ -215,7 +219,7 @@ def main(argv=None) -> int:
     def run(root, workload, trace):
         return run_once(root, spec["command"], workload, SEED, seconds, trace, args.size)
 
-    runs, traced, first = run_pairs(roots, workloads, args.pairs, run)
+    runs, traced, first = run_pairs(roots, workloads, args.pairs, run, secrets.choice(SIDES))
     summary = summarize(runs, spec)
     for workload in workloads:
         summary[workload]["trace"] = {side: {
