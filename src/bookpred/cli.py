@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from pathlib import Path
 
 from . import net, pipeline
 from .corpus import SuccessLabel, load_corpus
-from .embedding import SembError, write_atomically, write_embeddings
+from .embedding import SembError, csv_lines, write_atomically, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError, section_counts
 from .readability import INDEX_NAMES, readability_vector
@@ -39,7 +38,12 @@ class ConfigError(ValueError):
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{data[: exc.start].count(10) + 1}: {exc}") from None
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -170,11 +174,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     results = [x for slice_results in results for x in slice_results]
     failures = [(r.book_id, x) for r, x in zip(corpus, results) if isinstance(x, str)]
     written = [x for x in results if not isinstance(x, str)]
-    texts = [io.StringIO(), io.StringIO()]  # both files are made before either is replaced
-    for text, rows in zip(texts, zip([_READABILITY_HEADER, pipeline.STORE_COLUMNS], *written)):
-        csv.writer(text).writerows(rows)
-    for text, name in zip(texts, ["readability.csv", pipeline.STORE_NAME]):
-        write_atomically(out_dir / name, [text.getvalue().encode("utf-8")])
+    files = [list(csv_lines(rows[0], rows[1:]))  # both files are made before either is replaced
+             for rows in zip([_READABILITY_HEADER, pipeline.STORE_COLUMNS], *written)]
+    for lines, name in zip(files, ["readability.csv", pipeline.STORE_NAME]):
+        write_atomically(out_dir / name, lines)
 
     print(f"featurized {len(corpus) - len(failures)} of {len(corpus)} books into {out_dir}")
     for book_id, err in failures:
@@ -218,15 +221,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predictions = pipeline.predict_corpus(params, scaler, corpus, cfg)
     report = pipeline.report_from_predictions(predictions)
     if args.out:
-        Path(args.out).write_text(pipeline.eval_report_csv(report), encoding="utf-8")
+        write_atomically(args.out, [pipeline.eval_report_csv(report).encode("utf-8")])
     if args.preds:
-        with open(args.preds, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["book_id", "gold", "pred", "p_successful"])
-            for p in predictions:
-                writer.writerow(
-                    [p.book_id, p.gold.value, p.pred.value, repr(p.p_successful)]
-                )
+        rows = ([p.book_id, p.gold.value, p.pred.value, repr(p.p_successful)] for p in predictions)
+        write_atomically(args.preds, csv_lines(["book_id", "gold", "pred", "p_successful"], rows))
     sys.stdout.write(pipeline.eval_report_text(report))
     return EXIT_OK
 
@@ -235,6 +233,7 @@ def _read_predictions(path: str) -> tuple[list[str], list[SuccessLabel], list[Su
     ids: list[str] = []
     golds: list[SuccessLabel] = []
     preds: list[SuccessLabel] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"book_id", "gold", "pred"}
@@ -245,6 +244,9 @@ def _read_predictions(path: str) -> tuple[list[str], list[SuccessLabel], list[Su
                 try:
                     if None in row or None in row.values():
                         raise ValueError("wrong number of fields")
+                    if row["book_id"] in seen:
+                        raise ValueError(f"repeated book_id {row['book_id']!r}")
+                    seen.add(row["book_id"])
                     ids.append(row["book_id"])
                     golds.append(SuccessLabel.parse(row["gold"]))
                     preds.append(SuccessLabel.parse(row["pred"]))
@@ -272,7 +274,7 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     print("\n".join(f"{gloss}: {value!r}" for _, gloss, value in rows))
     if args.out:
         csv_text = "".join(f"{name},{value!r}\n" for name, _, value in rows)
-        Path(args.out).write_text("metric,value\n" + csv_text, encoding="utf-8")
+        write_atomically(args.out, [f"metric,value\n{csv_text}".encode("utf-8")])
     return EXIT_OK
 
 
@@ -280,7 +282,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     params, scaler, cfg, corpus = _load_eval_inputs(args)
     report = pipeline.attribute_readability(params, scaler, corpus, cfg, target=args.target)
     if args.out:
-        Path(args.out).write_text(pipeline.attribution_csv(report), encoding="utf-8")
+        write_atomically(args.out, [pipeline.attribution_csv(report).encode("utf-8")])
     sys.stdout.write(pipeline.attribution_text(report))
     return EXIT_OK
 

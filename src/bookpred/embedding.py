@@ -29,17 +29,26 @@ SEMB layout (little-endian):
     bytes 12..15 dim, u32
     then n_sentences * dim IEEE-754 float32 values, row-major
 
-Files are written by ``write_atomically`` (a temp file in the same
-directory, then a rename), so readers never see a half-written matrix.
+Files are written by ``write_atomically`` (a temp file beside the
+target, then a rename), so readers never see a half-written matrix. It
+writes every file the package writes: checkpoints, SEMB files, synth's
+book texts and the CLI's and ``synth``'s CSVs, whose rows ``csv_lines``
+turns into text. A symlink is written through (the rename replaces its
+target, and the link stays); a target that exists and is no regular
+file, such as a FIFO or a device, is written in place, with no temp file.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import os
 import secrets
+import stat
 import struct
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +61,7 @@ __all__ = [
     "SembTruncatedError",
     "SembNonFiniteError",
     "encode_hashed_bow",
+    "csv_lines",
     "write_atomically",
     "write_embeddings",
     "load_embeddings",
@@ -201,14 +211,33 @@ def encode_hashed_bow(
     return out[0] if books is None else out
 
 
-def write_atomically(path: str | Path, parts: list[bytes]) -> None:
-    """Write the byte strings ``parts`` to a temp file in ``path``'s
-    directory and rename it to ``path``, so readers see the old file or the
-    whole new one; on any exception the temp file is removed."""
+def csv_lines(header: list, rows: Iterable) -> Iterator[bytes]:
+    """``header`` and each of ``rows`` as one UTF-8 CSV line, quoted as
+    ``csv.writer`` quotes and ended by its ``\\r\\n``; lazily, so the rows
+    are made as the lines are written."""
+    writer = csv.writer(SimpleNamespace(write=str.encode))  # writerow returns write's bytes
+    return map(writer.writerow, itertools.chain([header], rows))
+
+
+def write_atomically(path: str | Path, parts: Iterable[bytes]) -> None:
+    """Write the byte strings ``parts`` to a temp file beside ``path``'s
+    target and rename it over the target, so readers see the old file or
+    the whole new one; on any exception the temp file is removed. The umask
+    sets a new file's mode, and a file that exists keeps its own. A symlink
+    is resolved first, so its target is replaced and the link stays. A
+    target that exists and is no regular file (a FIFO, a device) is written
+    in place, with no temp file and no rename."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    path = os.path.realpath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"  # created as open() would: the umask sets its mode
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if os.path.exists(path):  # a file that exists keeps its mode, as open() keeps it
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import net
+from . import embedding, net
 from .corpus import (
     BookRecord,
     CorpusSet,
@@ -557,11 +557,9 @@ def export_book_vectors(corpus: CorpusSet, cfg: TrainConfig, out_path: str | Pat
     (book_id, genre, then the vector components): the book2vec inputs of
     ``cfg``'s section and encoder. Returns the row count."""
     x, _ = featurize_corpus(corpus, replace(cfg, model=ModelConfig(arch="book2vec")))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["book_id", "genre"] + [f"v{i}" for i in range(x.shape[-1])])
-        for record, vec in zip(corpus, x):
-            writer.writerow([record.book_id, record.genre.value] + [f"{v:.9g}" for v in vec])
+    header = ["book_id", "genre"] + [f"v{i}" for i in range(x.shape[-1])]
+    rows = ([r.book_id, r.genre.value] + [f"{v:.9g}" for v in vec] for r, vec in zip(corpus, x))
+    embedding.write_atomically(out_path, embedding.csv_lines(header, rows))
     return len(corpus)
 
 
@@ -571,13 +569,9 @@ def export_book_vectors(corpus: CorpusSet, cfg: TrainConfig, out_path: str | Pat
 
 
 def write_history_csv(history: list[EpochStats], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_weighted_f1"])
-        for stats in history:
-            writer.writerow(
-                [stats.epoch, repr(stats.train_loss), repr(stats.val_weighted_f1)]
-            )
+    rows = ([s.epoch, repr(s.train_loss), repr(s.val_weighted_f1)] for s in history)
+    header = ["epoch", "train_loss", "val_weighted_f1"]
+    embedding.write_atomically(path, embedding.csv_lines(header, rows))
 
 
 def eval_report_csv(report: EvalReport) -> str:

@@ -13,13 +13,12 @@ Two families:
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import MANIFEST_COLUMNS, BookRecord, Genre, SuccessLabel, select_section
-from .embedding import write_embeddings
+from .embedding import csv_lines, write_atomically, write_embeddings
 from .pipeline import STORE_COLUMNS, STORE_NAME, TrainConfig, store_row
 from .readability import smog
 from .textstats import compute_counts, count_syllables, split_sentences
@@ -86,16 +85,14 @@ def _book_row(root: Path, i: int, genre: Genre, text: str, **columns: str) -> di
     """Write book ``i``'s text under ``root/books``; return its manifest row."""
     book_id = f"book{i:04d}"
     text_path = Path("books") / f"{book_id}.txt"
-    (root / text_path).write_text(text, encoding="utf-8")
+    write_atomically(root / text_path, [text.encode("utf-8")])
     return {"book_id": book_id, "genre": genre.value, **columns, "text_path": str(text_path)}
 
 
 def _write_manifest(root: Path, rows: list[dict]) -> Path:
     manifest_path = root / "manifest.csv"
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    fields = ([row[column] for column in MANIFEST_COLUMNS] for row in rows)
+    write_atomically(manifest_path, csv_lines(MANIFEST_COLUMNS, fields))
     return manifest_path
 
 
@@ -213,6 +210,5 @@ def make_readability_corpus(
             counts = select_section(split_sentences(text), section).counts()
         record = BookRecord(row["book_id"], genres[i], None, 0, label, root / row["text_path"])
         store.append(store_row(record, semb_path, embedding_dim, section, counts))
-    with open(root / "semb" / STORE_NAME, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([STORE_COLUMNS] + store)
+    write_atomically(root / "semb" / STORE_NAME, csv_lines(STORE_COLUMNS, store))
     return _write_manifest(root, rows)

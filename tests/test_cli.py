@@ -5,15 +5,19 @@ import os
 import re
 import shlex
 import shutil
+import stat
 import struct
+import threading
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import text_reference as ref
-from bookpred import synth
+from bookpred import pipeline, synth
 from bookpred.cli import _READABILITY_HEADER, _counts_row, build_parser, main
 from bookpred.corpus import SectionSpec, load_corpus, select_section, split_train_val
 from bookpred.embedding import write_embeddings
@@ -738,6 +742,7 @@ class TestBadPredictionRow:
             pytest.param("b2,Successful,Great", "unknown label 'Great'", id="unknown-label"),
             pytest.param("b2,Successful", "wrong number of fields", id="too-few-fields"),
             pytest.param("b2,Successful,Successful,x", "wrong number of fields", id="too-many"),
+            pytest.param("b1,Successful,Unsuccessful", "repeated book_id 'b1'", id="repeated-id"),
         ],
     )
     def test_exits_one_naming_file_and_line(self, tmp_path, capsys, row, reason):
@@ -763,6 +768,21 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "epoochs" in err
+
+    def test_undecodable_config_file_names_the_file_and_line(self, corpus_dir, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=2\n# caf\xe9\nencoder.dim=64\n")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--manifest", str(corpus_dir / "manifest.csv"),
+            "--out", str(tmp_path / "m.bpmd"),
+            "--config", str(cfg),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xe9")
+        assert not (tmp_path / "m.bpmd").exists()
 
     def test_flags_win_over_config_file(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -892,6 +912,158 @@ class TestConfigHandling:
         assert main(argv(b)) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class _Unwritable:
+    """A value whose text cannot be made, so a write fails partway through its file."""
+
+    def __repr__(self):
+        raise OSError("No space left on device")
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        raise OSError("No space left on device")
+
+
+def _drain_fifo(path, opened, stop, chunks):
+    """Read the FIFO at ``path`` into ``chunks`` until a writer has written
+    and closed it, or, with no writer, until ``stop`` is set. It never
+    blocks, so it gives up once the command has returned without writing."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    opened.set()
+    try:
+        while True:
+            try:
+                chunk = os.read(fd, 1 << 16)
+            except BlockingIOError:  # a writer holds the FIFO, nothing new in it
+                chunk = None
+            if chunk:
+                chunks.append(chunk)
+            elif chunk == b"" and (chunks or stop.is_set()):  # no writer holds it
+                return
+            else:
+                time.sleep(0.005)
+    finally:
+        os.close(fd)
+
+
+class TestOutputFiles:
+    """Every output is written atomically: a failed write leaves the previous
+    file and no temp file, a symlink is written through and stays a link, and
+    a special file is written in place."""
+
+    @staticmethod
+    def train_argv(corpus_dir, out, *extra):
+        return ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(out),
+                "--seed", "2", "--set", "epochs=2", "--set", "encoder.dim=64",
+                "--set", "model.filters_per_window=2", "--set", "model.hidden_units=4", *extra]
+
+    def test_train_writes_through_symlinks(self, corpus_dir, tmp_path, capsys):
+        plain, linked = tmp_path / "plain", tmp_path / "linked"
+        plain.mkdir(), linked.mkdir()
+        assert main(self.train_argv(corpus_dir, plain / "m.bpmd", "--history",
+                                    str(plain / "h.csv"))) == 0
+        for name in ("m.bpmd", "h.csv"):
+            (linked / f"real_{name}").write_bytes(b"old bytes")
+            (linked / name).symlink_to(f"real_{name}")
+        assert main(self.train_argv(corpus_dir, linked / "m.bpmd", "--history",
+                                    str(linked / "h.csv"))) == 0
+        capsys.readouterr()
+        for name in ("m.bpmd", "h.csv"):
+            assert (linked / name).is_symlink()
+            assert (linked / f"real_{name}").read_bytes() == (plain / name).read_bytes()
+        assert sorted(p.name for p in linked.iterdir()) == [
+            "h.csv", "m.bpmd", "real_h.csv", "real_m.bpmd"]
+
+    def test_featurize_writes_its_store_through_a_symlink(self, corpus_dir, tmp_path, capsys):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        argv = ["featurize", "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(out),
+                "--set", "encoder.dim=16"]
+        assert run(capsys, *argv)[0] == 0
+        store = out / pipeline.STORE_NAME
+        expected = store.read_bytes()
+        kept.mkdir()
+        store.rename(kept / pipeline.STORE_NAME)
+        (kept / pipeline.STORE_NAME).write_bytes(b"old bytes")
+        store.symlink_to(kept / pipeline.STORE_NAME)
+        assert run(capsys, *argv)[0] == 0
+        assert store.is_symlink() and store.resolve() == kept / pipeline.STORE_NAME
+        assert (kept / pipeline.STORE_NAME).read_bytes() == expected
+        assert not list(out.glob("*.tmp")) and not list(kept.glob("*.tmp"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_train_writes_a_fifo_in_place(self, corpus_dir, tmp_path, capsys):
+        assert main(self.train_argv(corpus_dir, tmp_path / "plain.bpmd")) == 0
+        fifo = tmp_path / "pipe.bpmd"
+        os.mkfifo(fifo)
+        opened, stop, chunks = threading.Event(), threading.Event(), []
+        reader = threading.Thread(target=_drain_fifo, args=(fifo, opened, stop, chunks))
+        reader.start()
+        try:
+            assert opened.wait(10)
+            code = main(self.train_argv(corpus_dir, fifo))
+        finally:
+            stop.set()
+            reader.join(10)
+        capsys.readouterr()
+        assert not reader.is_alive()
+        assert code == 0 and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert b"".join(chunks) == (tmp_path / "plain.bpmd").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.bpmd", "plain.bpmd"]
+
+    def fails_partway(self, capsys, path, argv):
+        """Run ``argv`` over a previous ``path``: it must exit 1 on the full disk
+        and leave ``path``'s bytes, and no temp file beside it."""
+        path.write_bytes(b"previous,bytes\r\n")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: No space left on device\n")
+        assert path.read_bytes() == b"previous,bytes\r\n"
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_a_failed_eval_preds_leaves_the_previous_file(self, corpus_dir, checkpoint,
+                                                          tmp_path, capsys, monkeypatch):
+        predict = pipeline.predict_corpus
+
+        def failing(*args, **kwargs):
+            predictions = predict(*args, **kwargs)
+            return predictions[:-1] + [replace(predictions[-1], p_successful=_Unwritable())]
+
+        monkeypatch.setattr(pipeline, "predict_corpus", failing)
+        preds = tmp_path / "preds.csv"
+        self.fails_partway(capsys, preds, [
+            "eval", "--checkpoint", str(checkpoint / "model.bpmd"),
+            "--manifest", str(corpus_dir / "manifest.csv"), "--preds", str(preds)])
+
+    def test_a_failed_train_history_leaves_the_previous_file(self, corpus_dir, tmp_path, capsys,
+                                                             monkeypatch):
+        train = pipeline.train
+
+        def failing(*args, **kwargs):
+            result = train(*args, **kwargs)
+            last = replace(result.history[-1], train_loss=_Unwritable())
+            return replace(result, history=result.history[:-1] + [last])
+
+        monkeypatch.setattr(pipeline, "train", failing)
+        history = tmp_path / "history.csv"
+        self.fails_partway(capsys, history, self.train_argv(
+            corpus_dir, tmp_path / "m.bpmd", "--history", str(history)))
+
+    def test_a_failed_export_leaves_the_previous_file(self, corpus_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        featurize = pipeline.featurize_corpus
+
+        def failing(*args, **kwargs):
+            x, readability = featurize(*args, **kwargs)
+            x = x.astype(object)
+            x[-1, -1] = _Unwritable()
+            return x, readability
+
+        monkeypatch.setattr(pipeline, "featurize_corpus", failing)
+        vectors = tmp_path / "vectors.csv"
+        self.fails_partway(capsys, vectors, [
+            "export-vectors", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--out", str(vectors), "--set", "encoder.dim=16"])
 
 
 def test_readme_command_lines_parse():

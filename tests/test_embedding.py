@@ -1,5 +1,8 @@
+import csv
+import io
 import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from bookpred.embedding import (
     book_average,
     chunk_average,
     chunk_sizes,
+    csv_lines,
     encode_hashed_bow,
     load_embeddings,
     write_embeddings,
@@ -179,6 +183,15 @@ class TestSembRoundTrip:
         write_embeddings(np.zeros((3, 8), dtype=np.float32), tmp_path / "m.semb")
         assert (tmp_path / "m.semb").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_rewrite_keeps_the_mode_of_the_file_it_replaces(self, tmp_path):
+        # As open(path, "w") keeps it; the rename would otherwise give the umask's mode.
+        path = tmp_path / "m.semb"
+        path.write_bytes(b"old bytes")
+        os.chmod(path, 0o640)
+        write_embeddings(np.zeros((3, 8), dtype=np.float32), path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert len(load_embeddings(path)) == 3
+
 
 def _save_small_checkpoint(path):
     config = net.ModelConfig(
@@ -205,6 +218,15 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatc
         write(target)
     assert [p.name for p in tmp_path.iterdir()] == [name]
     assert target.read_bytes() == b"old bytes"
+
+
+def test_csv_lines_are_the_lines_csv_writer_writes():
+    rows = [["a,b", 'say "hi"', "two\nlines", 1, 2.5, "Zoë"], [], ["", None]]
+    expected = io.StringIO()
+    csv.writer(expected).writerows([["h1", "h2"], *rows])
+    lines = list(csv_lines(["h1", "h2"], iter(rows)))
+    assert len(lines) == 4 and all(line.endswith(b"\r\n") for line in lines)
+    assert b"".join(lines) == expected.getvalue().encode("utf-8")
 
 
 class TestChunkAverage:

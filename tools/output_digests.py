@@ -18,9 +18,10 @@ texts with words, mcnemar of the dim-512 cnn against book2vec and against
 encoder, and readability. Each output file, and each
 command's standard output, gets one ``sha256  name`` line; the absolute
 OUT_DIR path is replaced by ``OUT_DIR`` first, so the digests do not depend
-on where the tool ran. To compare two checkouts, run each one's copy of the
-tool into its own directory and ``diff`` the two listings. It takes a few
-seconds on one core.
+on where the tool ran. It exits 1, naming the file, if a ``*.tmp`` file
+is left anywhere under OUT_DIR after the runs. To compare two checkouts,
+run each one's copy of the tool into its own directory and ``diff`` the
+two listings. It takes a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -209,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {name} exited {code}: {stderr.getvalue().strip()}", file=sys.stderr)
             return 1
         (runs_dir / f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    for path in sorted(out.rglob("*.tmp")):  # a write that left its temp file is a failed run
+        print(f"error: temp file left behind: {path}", file=sys.stderr)
+        return 1
     for path in sorted(p for p in runs_dir.rglob("*") if p.is_file()):
         data = path.read_bytes().replace(str(out).encode("utf-8"), b"OUT_DIR")
         print(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(runs_dir)}")
