@@ -265,16 +265,11 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     if golds_a != golds_b:
         raise ValueError("prediction files disagree on gold labels")
     result = mcnemar(preds_a, preds_b, golds_a)
-    rows = [
-        ("b", "b (A right, B wrong)", result.b),
-        ("c", "c (A wrong, B right)", result.c),
-        ("statistic", "statistic", result.statistic),
-        ("p_value", "p_value", result.p_value),
-    ]
-    print("\n".join(f"{gloss}: {value!r}" for _, gloss, value in rows))
+    rows = [(name, getattr(result, name)) for name in ("b", "c", "statistic", "p_value")]
+    glosses = {"b": "b (A right, B wrong)", "c": "c (A wrong, B right)"}
+    print("\n".join(f"{glosses.get(name, name)}: {value!r}" for name, value in rows))
     if args.out:
-        csv_text = "".join(f"{name},{value!r}\n" for name, _, value in rows)
-        write_atomically(args.out, [f"metric,value\n{csv_text}".encode("utf-8")])
+        write_atomically(args.out, [pipeline.name_value_csv("metric", rows).encode("utf-8")])
     return EXIT_OK
 
 

@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .textstats import Tokens, tokenize_sentences
+from .textstats import Tokens, book_sizes, tokenize_sentences
 
 __all__ = [
     "SembError",
@@ -177,7 +177,7 @@ def encode_hashed_bow(
     if dim < 8:
         raise ValueError(f"hashed bag-of-words needs dim >= 8, got {dim}")
     tokens = sentences if isinstance(sentences, Tokens) else tokenize_sentences(sentences)
-    counts = tokens.books(books)
+    counts = book_sizes(len(tokens), books)
     n = len(tokens)
     shape = (n, dim) if n_chunks is None else (len(counts), n_chunks, dim)
     if out is not None and (out.shape != shape or not out.flags.c_contiguous):
@@ -224,7 +224,9 @@ def write_atomically(path: str | Path, parts: Iterable[bytes]) -> None:
     target and rename it over the target, so readers see the old file or
     the whole new one; on any exception the temp file is removed. The umask
     sets a new file's mode, and a file that exists keeps its own. A symlink
-    is resolved first, so its target is replaced and the link stays. A
+    is resolved first, so its target is replaced and the link stays. A hard
+    link is split: the target gets a new file, and the link's other names
+    keep the old bytes, since writing it in place would not be atomic. A
     target that exists and is no regular file (a FIFO, a device) is written
     in place, with no temp file and no rename."""
     if os.path.exists(path) and not os.path.isfile(path):
@@ -249,8 +251,8 @@ def write_atomically(path: str | Path, parts: Iterable[bytes]) -> None:
 def write_embeddings(matrix: np.ndarray, path: str | Path) -> None:
     """Write a sentence-embedding matrix as a SEMB file (atomically)."""
     arr = np.ascontiguousarray(matrix, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ValueError(f"embedding matrix must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or not arr.shape[1]:
+        raise ValueError(f"embedding matrix must be 2-D with columns, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise SembNonFiniteError("refusing to write non-finite embedding values")
     write_atomically(path, [_HEADER.pack(SEMB_MAGIC, SEMB_VERSION, *arr.shape), arr.tobytes()])
@@ -261,7 +263,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
     Raises distinct errors for a bad magic, an unsupported version, a
     payload shorter or longer than the declared shape, and non-finite
-    values.
+    values, and a ``SembError`` for a declared dim of 0.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -272,6 +274,8 @@ def load_embeddings(path: str | Path) -> np.ndarray:
         raise SembBadMagicError(f"{path}: bad magic {magic!r}")
     if version != SEMB_VERSION:
         raise SembVersionError(f"{path}: unsupported version {version}")
+    if not dim:
+        raise SembError(f"{path}: dim 0, a sentence vector needs at least one value")
     expected = _HEADER.size + 4 * n * dim
     if len(raw) != expected:
         raise SembTruncatedError(

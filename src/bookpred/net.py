@@ -652,6 +652,8 @@ def load_checkpoint(
     for name, shape in shapes:
         count = math.prod(shape)
         values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name} holds NaN or Inf")
         tensors[name] = values.astype(float).reshape(shape)
         offset += 4 * count
     params = ModelParams.from_tensors(config, tensors)
@@ -662,5 +664,7 @@ def load_checkpoint(
         std = np.frombuffer(
             raw, dtype="<f8", count=N_READABILITY, offset=offset + 8 * N_READABILITY
         ).copy()
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise CheckpointError(f"{path}: readability scaler holds NaN, Inf or a std <= 0")
         scaler = ReadabilityScaler(mean=mean, std=std)
     return params, scaler, extra

@@ -68,6 +68,7 @@ __all__ = [
     "attribute_readability",
     "export_book_vectors",
     "write_history_csv",
+    "name_value_csv",
     "eval_report_csv",
     "eval_report_text",
     "attribution_csv",
@@ -574,21 +575,21 @@ def write_history_csv(history: list[EpochStats], path: str | Path) -> None:
     embedding.write_atomically(path, embedding.csv_lines(header, rows))
 
 
+def name_value_csv(header: str, rows: list[tuple[str, int | float]]) -> str:
+    """The text of a two-column report: the line ``header,value``, then one
+    ``name,repr(value)`` line per row, each line ended by ``\\n``."""
+    return f"{header},value\n" + "".join(f"{name},{value!r}\n" for name, value in rows)
+
+
 def eval_report_csv(report: EvalReport) -> str:
-    lines = ["metric,value"]
-    lines.append(f"n,{report.n}")
-    lines.append(f"weighted_f1,{report.weighted_f1!r}")
-    lines.append(f"f1_unsuccessful,{report.per_class_f1[0]!r}")
-    lines.append(f"f1_successful,{report.per_class_f1[1]!r}")
-    c = report.confusion
-    lines.append(f"confusion_gold_unsuccessful_pred_unsuccessful,{int(c[0, 0])}")
-    lines.append(f"confusion_gold_unsuccessful_pred_successful,{int(c[0, 1])}")
-    lines.append(f"confusion_gold_successful_pred_unsuccessful,{int(c[1, 0])}")
-    lines.append(f"confusion_gold_successful_pred_successful,{int(c[1, 1])}")
-    for genre in Genre:
-        if genre in report.per_genre_f1:
-            lines.append(f"genre_f1_{genre.value},{report.per_genre_f1[genre]!r}")
-    return "\n".join(lines) + "\n"
+    classes = ("unsuccessful", "successful")  # class index order
+    rows = [("n", report.n), ("weighted_f1", report.weighted_f1)]
+    rows += [(f"f1_{name}", f1) for name, f1 in zip(classes, report.per_class_f1)]
+    cells = [f"confusion_gold_{gold}_pred_{pred}" for gold in classes for pred in classes]
+    rows += [(cell, int(count)) for cell, count in zip(cells, report.confusion.flat)]
+    genres = [genre for genre in Genre if genre in report.per_genre_f1]
+    rows += [(f"genre_f1_{genre.value}", report.per_genre_f1[genre]) for genre in genres]
+    return name_value_csv("metric", rows)
 
 
 def eval_report_text(report: EvalReport) -> str:
@@ -611,11 +612,8 @@ def eval_report_text(report: EvalReport) -> str:
 
 
 def attribution_csv(report: AttributionReport) -> str:
-    lines = ["name,value"]
-    for name, value in zip(INDEX_NAMES, report.mean_gradient):
-        lines.append(f"{name},{float(value)!r}")
-    lines.append(f"n_books,{report.n_books}")
-    return "\n".join(lines) + "\n"
+    rows = [(name, float(value)) for name, value in zip(INDEX_NAMES, report.mean_gradient)]
+    return name_value_csv("name", rows + [("n_books", report.n_books)])
 
 
 def attribution_text(report: AttributionReport) -> str:

@@ -44,6 +44,7 @@ GENRE_WEIGHTS = {
 
 _CONSONANTS = "bcdfgjklmnprstvz"
 _VOWEL_LETTERS = "aiou"  # avoid e/y so the silent-e rule never fires
+_SUCCESSFUL_FRACTION = 0.65  # chance that a token-corpus book is Successful
 
 SMOG_LABEL_THRESHOLD = 6.0
 
@@ -101,7 +102,6 @@ def make_token_corpus(
     n_books: int = 200,
     seed: int = 0,
     sentences_per_book: tuple[int, int] = (60, 100),
-    successful_fraction: float = 0.65,
     marker_rate: float = 0.5,
 ) -> Path:
     """Corpus whose labels are recoverable from planted marker tokens.
@@ -119,7 +119,7 @@ def make_token_corpus(
     genres = _assign_genres(n_books)
     rows = []
     for i in range(n_books):
-        successful = rng.random() < successful_fraction
+        successful = rng.random() < _SUCCESSFUL_FRACTION
         marker = "zephyrine" if successful else "morvath"
         n_sentences = int(rng.integers(sentences_per_book[0], sentences_per_book[1] + 1))
         sentences = []

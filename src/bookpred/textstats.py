@@ -57,6 +57,7 @@ __all__ = [
     "count_syllables",
     "compute_counts",
     "counts_from_sentences",
+    "book_sizes",
 ]
 
 # Abbreviations that end in '.' but do not end a sentence.
@@ -228,7 +229,7 @@ def _cumulative(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _book_sizes(n: int, sizes: Sequence[int] | None) -> list[int]:
+def book_sizes(n: int, sizes: Sequence[int] | None) -> list[int]:
     """``sizes``, the sentence counts of consecutive books, as a list, or
     all ``n`` sentences as one book; none negative, they add up to ``n``."""
     sizes = [n] if sizes is None else list(sizes)
@@ -253,11 +254,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def books(self, sizes: Sequence[int] | None = None) -> list[int]:
-        """``sizes``, the sentence counts of consecutive books, as a list, or
-        all the sentences as one book; none negative, they add up to ``len(self)``."""
-        return _book_sizes(len(self), sizes)
 
 
 class _Vocabulary(dict):
@@ -335,7 +331,7 @@ class Sentences:
         """Exactly ``counts_from_sentences(self.tokens(), books)``, from the
         words' bytes, one array pass per block of sentences; no word is
         numbered."""
-        sizes = _book_sizes(len(self), books)
+        sizes = book_sizes(len(self), books)
         lengths, per_word = [np.zeros(0, np.int64)], [np.zeros((3, 0), np.int64)]
         for codes, word, firsts, bounds in self._word_blocks():
             characters, syllables = _word_stats(codes, word, firsts)
@@ -426,7 +422,7 @@ def counts_from_sentences(
     """
     characters, syllables = _vocab_stats(tokens.vocab)
     per_token = np.array([characters, syllables, syllables >= 3], np.int64).T
-    sentences = tokens.books(books)
+    sentences = book_sizes(len(tokens), books)
     bounds = _cumulative(tokens.lengths)[np.cumsum([0] + sentences)].tolist()
     counts = []
     for n, start, stop in zip(sentences, bounds, bounds[1:]):

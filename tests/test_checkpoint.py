@@ -2,13 +2,16 @@
 that names what is wrong, raised before any parameter tensor is built."""
 
 import json
+import re
 import struct
 
+import numpy as np
 import pytest
 
 from bookpred import net, pipeline
 from bookpred.net import ModelConfig, init_params
 from bookpred.pipeline import EncoderConfig, TrainConfig
+from bookpred.readability import ReadabilityScaler
 
 
 def tiny_config(**overrides):
@@ -115,6 +118,31 @@ def test_scaler_flag_changes_declared_size(tmp_path):
     net.save_checkpoint(path, init_params(tiny_config(), seed=0))
     rewrite_meta(path, lambda meta: meta.update(has_scaler=True))
     with pytest.raises(net.CheckpointError, match="bytes"):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["conv2_kernel", "dense1_w", "dense2_b"])
+def test_non_finite_tensor_value_names_the_file_and_tensor(tmp_path, name, value):
+    path = tmp_path / "m.bpmd"
+    params = init_params(tiny_config(), seed=0)
+    dict(params.tensors())[name].flat[-1] = value
+    net.save_checkpoint(path, params)
+    with pytest.raises(net.CheckpointError, match=re.escape(f"{path}: tensor {name} holds")):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mean", np.nan), ("mean", -np.inf), ("std", np.inf), ("std", 0.0), ("std", -1.0)],
+    ids=["mean-nan", "mean-inf", "std-inf", "std-zero", "std-negative"],
+)
+def test_scaler_of_non_finite_or_non_positive_std_is_rejected(tmp_path, field, value):
+    path = tmp_path / "m.bpmd"
+    scaler = ReadabilityScaler(mean=np.zeros(5), std=np.ones(5))
+    getattr(scaler, field)[2] = value
+    net.save_checkpoint(path, init_params(tiny_config(), seed=0), scaler)
+    with pytest.raises(net.CheckpointError, match=re.escape(f"{path}: readability scaler")):
         net.load_checkpoint(path)
 
 

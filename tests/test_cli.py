@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import text_reference as ref
-from bookpred import pipeline, synth
+from bookpred import net, pipeline, synth
 from bookpred.cli import _READABILITY_HEADER, _counts_row, build_parser, main
 from bookpred.corpus import SectionSpec, load_corpus, select_section, split_train_val
 from bookpred.embedding import write_embeddings
@@ -359,6 +359,18 @@ class TestTrainEvalFlow:
         assert len(rows) == 20
         assert set(rows[0]) == {"book_id", "gold", "pred", "p_successful"}
 
+    def test_eval_of_a_checkpoint_holding_nan_exits_one(self, corpus_dir, checkpoint, tmp_path,
+                                                        capsys):
+        params, scaler, extra = net.load_checkpoint(checkpoint / "model.bpmd")
+        params.dense2_b[0] = np.nan
+        bad = tmp_path / "nan.bpmd"
+        net.save_checkpoint(bad, params, scaler, extra)
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(bad), "--manifest", str(corpus_dir / "manifest.csv")
+        )
+        assert code == 1
+        assert f"error: {bad}: tensor dense2_b holds NaN or Inf" in err
+
     def test_mcnemar_on_identical_predictions(self, corpus_dir, checkpoint, tmp_path, capsys):
         preds_csv = tmp_path / "preds.csv"
         code, _, _ = run(
@@ -623,6 +635,25 @@ class TestExportVectorsCommand:
         assert code == 1
         assert f"book book0002: {odd} has dim 5" in err
         assert "the model expects input_dim=8" in err
+
+    @pytest.mark.parametrize("command", ["export-vectors", "train"])
+    def test_a_first_semb_file_of_dim_zero_exits_one_naming_it(self, tmp_path, capsys, command):
+        manifest = synth.make_readability_corpus(
+            tmp_path, n_books=4, seed=5, embedding_dim=8, sentences_per_book=(5, 8)
+        )
+        first = tmp_path / "semb" / "book0000.semb"
+        n_rows = struct.unpack_from("<I", first.read_bytes(), 8)[0]
+        first.write_bytes(struct.pack("<4sIII", b"SEMB", 1, n_rows, 0))
+        code, _, err = run(
+            capsys,
+            command,
+            "--manifest", str(manifest),
+            "--out", str(tmp_path / "out"),
+            "--semb-dir", str(tmp_path / "semb"),
+            *(["--set", "epochs=1"] if command == "train" else []),
+        )
+        assert code == 1
+        assert f"error: book book0000: {first}: dim 0" in err
 
 
 class TestExternalEncoderEval:
@@ -950,8 +981,8 @@ def _drain_fifo(path, opened, stop, chunks):
 
 class TestOutputFiles:
     """Every output is written atomically: a failed write leaves the previous
-    file and no temp file, a symlink is written through and stays a link, and
-    a special file is written in place."""
+    file and no temp file, a symlink is written through and stays a link, a
+    hard link is split, and a special file is written in place."""
 
     @staticmethod
     def train_argv(corpus_dir, out, *extra):
@@ -993,6 +1024,20 @@ class TestOutputFiles:
         assert not list(out.glob("*.tmp")) and not list(kept.glob("*.tmp"))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_hard_link_is_split_and_its_other_name_keeps_the_old_bytes(self, tmp_path, capsys):
+        # The rename that makes a write atomic gives the target a new inode.
+        preds = tmp_path / "p.csv"
+        preds.write_text("book_id,gold,pred\nb1,Successful,Successful\n", encoding="utf-8")
+        out, alias = tmp_path / "out.csv", tmp_path / "alias.csv"
+        out.write_bytes(b"old bytes")
+        os.link(out, alias)
+        code, _, _ = run(capsys, "mcnemar", str(preds), str(preds), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == b"metric,value\nb,0\nc,0\nstatistic,0.0\np_value,1.0\n"
+        assert out.stat().st_nlink == 1
+        assert alias.read_bytes() == b"old bytes"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_train_writes_a_fifo_in_place(self, corpus_dir, tmp_path, capsys):
         assert main(self.train_argv(corpus_dir, tmp_path / "plain.bpmd")) == 0
         fifo = tmp_path / "pipe.bpmd"

@@ -3,6 +3,7 @@ import io
 import os
 import re
 import stat
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from bookpred.embedding import (
     _chunk_means,
     _hash_vocab,
     SembBadMagicError,
+    SembError,
     SembNonFiniteError,
     SembTruncatedError,
     SembVersionError,
@@ -171,6 +173,17 @@ class TestSembRoundTrip:
         bad = np.full((2, 8), np.nan, dtype=np.float32)
         with pytest.raises(SembNonFiniteError):
             write_embeddings(bad, tmp_path / "m.semb")
+
+    def test_dim_zero_rejected_on_load(self, tmp_path):
+        path = tmp_path / "m.semb"
+        path.write_bytes(struct.pack("<4sIII", b"SEMB", 1, 3, 0))
+        with pytest.raises(SembError, match=re.escape(f"{path}: dim 0")):
+            load_embeddings(path)
+
+    def test_no_columns_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match="with columns"):
+            write_embeddings(np.zeros((3, 0), dtype=np.float32), tmp_path / "m.semb")
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_is_atomic_no_temp_left_behind(self, tmp_path):
         write_embeddings(np.zeros((3, 8), dtype=np.float32), tmp_path / "m.semb")

@@ -39,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from bookpred import cli, synth  # noqa: E402
-from bookpred.embedding import write_embeddings  # noqa: E402
+from bookpred.embedding import csv_lines, write_atomically, write_embeddings  # noqa: E402
 from bookpred.textstats import split_sentences  # noqa: E402
 
 # Texts on the edges of the segmentation and counting rules. "nowords" has
@@ -77,10 +77,7 @@ model.use_readability=no
 
 
 def _write_manifest(path: Path, fieldnames: list[str], rows: list[dict]) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_atomically(path, csv_lines(fieldnames, ([row[f] for f in fieldnames] for row in rows)))
     return path
 
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import statistics
 import sys
@@ -81,7 +80,12 @@ from bookpred.corpus import (  # noqa: E402
     SuccessLabel,
     select_section,
 )
-from bookpred.embedding import encode_hashed_bow, write_embeddings  # noqa: E402
+from bookpred.embedding import (  # noqa: E402
+    csv_lines,
+    encode_hashed_bow,
+    write_atomically,
+    write_embeddings,
+)
 from bookpred.net import ModelConfig  # noqa: E402
 from bookpred.pipeline import (  # noqa: E402
     STORE_COLUMNS,
@@ -175,25 +179,22 @@ def write_semb_dirs(root: Path, records: list, section: SectionSpec) -> tuple[Pa
     counted.mkdir()
     stored.mkdir()
     rng = np.random.default_rng(SEED)
-    rows = [STORE_COLUMNS]
+    rows = []
     for record, (counts, _) in zip(records, section_counts(records, section)):
         matrix = rng.standard_normal((counts.sentences, 64))
         for directory in (counted, stored):
             write_embeddings(matrix, directory / f"{record.book_id}.semb")
         rows.append(store_row(record, stored / f"{record.book_id}.semb", 64, section, counts))
-    with open(stored / STORE_NAME, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_atomically(stored / STORE_NAME, csv_lines(STORE_COLUMNS, rows))
     return counted, stored
 
 
 def write_manifest(root: Path, records: list) -> Path:
     """A manifest of ``records``, as ``bookpred featurize`` reads one."""
     manifest = root / "short.csv"
-    with open(manifest, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([MANIFEST_COLUMNS] + [
-            [r.book_id, r.genre.value, "", r.n_ratings, r.label.value, r.text_path]
-            for r in records
-        ])
+    rows = ([r.book_id, r.genre.value, "", r.n_ratings, r.label.value, r.text_path]
+            for r in records)
+    write_atomically(manifest, csv_lines(MANIFEST_COLUMNS, rows))
     return manifest
 
 
