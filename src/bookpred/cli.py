@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from pathlib import Path
 
 from . import net, pipeline
 from .corpus import SuccessLabel, load_corpus
-from .embedding import SembError, csv_lines, write_atomically, write_embeddings
+from .embedding import SembError, csv_lines, read_text, write_atomically, write_embeddings
 from .metrics import mcnemar
 from .pipeline import FeaturizationError, TrainConfig, TrainingDivergedError, section_counts
 from .readability import INDEX_NAMES, readability_vector
@@ -38,18 +39,17 @@ class ConfigError(ValueError):
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}:{data[: exc.start].count(10) + 1}: {exc}") from None
-    for line_no, line in enumerate(text.splitlines(), 1):
+        text = read_text(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for line_no, line in enumerate(text.split("\n"), 1):  # lines as read_text numbers them
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}: line {line_no}: expected key=value, got {stripped!r}")
         values[key.strip()] = value.strip()
     return values
 
@@ -114,13 +114,8 @@ def _featurize_config(args: argparse.Namespace) -> TrainConfig:
 def cmd_readability(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(_READABILITY_HEADER)
-    for path_text in args.paths:
-        path = Path(path_text)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: cannot decode text as UTF-8 ({exc})") from exc
-        writer.writerow(_counts_row(path.stem, compute_counts(text)))
+    writer.writerows(_counts_row(Path(p).stem, compute_counts(read_text(p, universal_newlines=True)))
+                     for p in args.paths)
     return EXIT_OK
 
 
@@ -234,26 +229,25 @@ def _read_predictions(path: str) -> tuple[list[str], list[SuccessLabel], list[Su
     golds: list[SuccessLabel] = []
     preds: list[SuccessLabel] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"book_id", "gold", "pred"}
-        try:
-            if not needed.issubset(set(reader.fieldnames or [])):
-                raise ValueError(f"{path}: prediction CSV needs columns {sorted(needed)}")
-            for row in reader:
-                try:
-                    if None in row or None in row.values():
-                        raise ValueError("wrong number of fields")
-                    if row["book_id"] in seen:
-                        raise ValueError(f"repeated book_id {row['book_id']!r}")
-                    seen.add(row["book_id"])
-                    ids.append(row["book_id"])
-                    golds.append(SuccessLabel.parse(row["gold"]))
-                    preds.append(SuccessLabel.parse(row["pred"]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: after line {reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    needed = {"book_id", "gold", "pred"}
+    try:
+        if not needed.issubset(set(reader.fieldnames or [])):
+            raise ValueError(f"{path}: prediction CSV needs columns {sorted(needed)}")
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError("wrong number of fields")
+                if row["book_id"] in seen:
+                    raise ValueError(f"repeated book_id {row['book_id']!r}")
+                seen.add(row["book_id"])
+                ids.append(row["book_id"])
+                golds.append(SuccessLabel.parse(row["gold"]))
+                preds.append(SuccessLabel.parse(row["pred"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: after line {reader.line_num}: {exc}") from None
     return ids, golds, preds
 
 

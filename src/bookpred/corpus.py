@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .embedding import read_text
 
 __all__ = [
     "Genre",
@@ -176,30 +179,27 @@ def load_corpus(manifest_path: str | Path) -> CorpusSet:
     genres, duplicate book ids, and label/rating conflicts, each naming
     the 1-based file line the record ends on, so blank lines and quoted
     newlines before it are counted; missing labels are derived from the
-    rating.
-    A CSV-level fault or a non-UTF-8 byte is a :class:`MalformedRowError`
-    naming the manifest.
+    rating. A CSV-level fault or a non-UTF-8 byte is a
+    :class:`MalformedRowError` naming the manifest (and a byte's line).
     """
     manifest_path = Path(manifest_path)
     records: list[BookRecord] = []
     seen: set[str] = set()
-    with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames != MANIFEST_COLUMNS:
-                raise MalformedRowError(
-                    f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
-                    f"got {reader.fieldnames}"
-                )
-            for row in reader:
-                try:
-                    records.append(_parse_row(row, manifest_path.parent, seen))
-                except ManifestError as exc:
-                    raise type(exc)(f"row {reader.line_num}: {exc}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedRowError(
-                f"{manifest_path}: after line {reader.line_num}: {exc}"
-            ) from None
+    try:
+        reader = csv.DictReader(io.StringIO(read_text(manifest_path), newline=""))
+    except ValueError as exc:
+        raise MalformedRowError(str(exc)) from None
+    try:
+        if reader.fieldnames != MANIFEST_COLUMNS:
+            raise MalformedRowError(f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
+                                    f"got {reader.fieldnames}")
+        for row in reader:
+            try:
+                records.append(_parse_row(row, manifest_path.parent, seen))
+            except ManifestError as exc:
+                raise type(exc)(f"row {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedRowError(f"{manifest_path}: after line {reader.line_num}: {exc}") from None
     return tuple(records)
 
 

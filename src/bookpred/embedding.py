@@ -63,6 +63,7 @@ __all__ = [
     "encode_hashed_bow",
     "csv_lines",
     "write_atomically",
+    "read_text",
     "write_embeddings",
     "load_embeddings",
     "chunk_average",
@@ -248,6 +249,19 @@ def write_atomically(path: str | Path, parts: Iterable[bytes]) -> None:
         raise
 
 
+def read_text(path: str | Path, universal_newlines: bool = False) -> str:
+    """``path``'s bytes as UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` if
+    ``universal_newlines``. A byte that does not decode is a ``ValueError`` naming
+    the file and its line: the newlines before the byte, plus 1."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: cannot decode text as UTF-8 ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if universal_newlines else text
+
+
 def write_embeddings(matrix: np.ndarray, path: str | Path) -> None:
     """Write a sentence-embedding matrix as a SEMB file (atomically)."""
     arr = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -265,8 +279,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     payload shorter or longer than the declared shape, and non-finite
     values, and a ``SembError`` for a declared dim of 0.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise SembTruncatedError(f"{path}: file shorter than the 16-byte header")
     magic, version, n, dim = _HEADER.unpack_from(raw)

@@ -618,8 +618,7 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelParams, ReadabilityScaler | None, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
     version, meta_len = struct.unpack_from("<II", raw, 4)

@@ -36,7 +36,7 @@ from .corpus import (
     select_section,
     split_train_val,
 )
-from .embedding import chunk_average, encode_hashed_bow, load_embeddings
+from .embedding import chunk_average, encode_hashed_bow, load_embeddings, read_text
 from .metrics import class_f1, confusion_counts, weighted_f1
 from .net import N_READABILITY, ModelConfig, ModelParams
 from .readability import (
@@ -140,11 +140,9 @@ def _read_section(record: BookRecord, section: SectionSpec) -> Sentences:
     """One book's configured section, segmenting for ``first:K`` only a prefix that holds
     K sentences; none is a ``FeaturizationError``, an unreadable text an ``OSError``."""
     try:
-        text = record.text_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FeaturizationError(
-            f"book {record.book_id}: cannot decode text as UTF-8 ({exc})"
-        ) from exc
+        text = read_text(record.text_path, universal_newlines=True)
+    except ValueError as exc:
+        raise FeaturizationError(f"book {record.book_id}: {exc}") from exc
     first = section.k if section.kind == "first" else None
     sentences = select_section(split_sentences(text, first), section)
     if not len(sentences):
@@ -226,7 +224,7 @@ def section_counts(corpus: CorpusSet, section: SectionSpec, directory: Path | No
     float32. A block's sections and tokens are freed before the next block is read."""
     hashed = encoder is not None and encoder.kind == "hashed"
     path = not hashed and directory and Path(directory) / STORE_NAME
-    store = _parse_store(path, path.read_bytes()) if path and path.exists() else {}
+    store = _parse_store(path, read_text(path)) if path and path.exists() else {}
     for block in _section_blocks(corpus, section, store):
         parts = [part for _, _, part in block if isinstance(part, Sentences)]
         books, rows = [len(part) for part in parts], [None] * len(parts)
@@ -260,13 +258,9 @@ def store_row(record: BookRecord, semb_path, dim, section, counts) -> list:
 
 
 @functools.lru_cache(maxsize=4)
-def _parse_store(path: Path, data: bytes) -> dict:
+def _parse_store(path: Path, text: str) -> dict:
     """book_id -> (section, text_sha256, W, C, S, L, P) of each row of the store
-    ``data`` read from ``path``; a fault is a ``ValueError`` naming the line."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: line {data[: exc.start].count(10) + 1}: {exc}") from None
+    ``text`` read from ``path``; a fault is a ``ValueError`` naming the line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     rows: dict = {}
     section_of = functools.cache(functools.partial(net.from_json, "section", SectionSpec))

@@ -18,8 +18,23 @@ import pytest
 
 import text_reference as ref
 from bookpred import net, pipeline, synth
-from bookpred.cli import _READABILITY_HEADER, _counts_row, build_parser, main
-from bookpred.corpus import SectionSpec, load_corpus, select_section, split_train_val
+from bookpred.cli import (
+    _READABILITY_HEADER,
+    ConfigError,
+    _counts_row,
+    _parse_config_file,
+    build_parser,
+    main,
+)
+from bookpred.corpus import (
+    BookRecord,
+    Genre,
+    SectionSpec,
+    SuccessLabel,
+    load_corpus,
+    select_section,
+    split_train_val,
+)
 from bookpred.embedding import write_embeddings
 
 
@@ -80,6 +95,15 @@ class TestReadabilityCommand:
         code, _, err = run(capsys, "readability", str(f))
         assert code == 1
         assert "utf16.txt" in err and "UTF-8" in err
+
+    def test_a_lone_carriage_return_ends_a_line_as_in_featurization(self, tmp_path, capsys):
+        # Book texts are read with universal newlines, so "\r\r" is a blank line.
+        f = tmp_path / "mac.txt"
+        f.write_bytes(b"Heading\r\rBody text here")
+        code, out, _ = run(capsys, "readability", str(f))
+        assert code == 0 and out.splitlines()[1].startswith("mac,4,19,2,")
+        record = BookRecord("mac", Genre.FICTION, None, 0, SuccessLabel.SUCCESSFUL, f)
+        assert len(pipeline._read_section(record, SectionSpec("full"))) == 2
 
 
 class TestFeaturizeCommand:
@@ -597,7 +621,8 @@ class TestUndecodableBook:
                     "--manifest", manifest]
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert "book book0003: cannot decode text as UTF-8" in err
+        book = undecodable_corpus / "books" / "book0003.txt"
+        assert f"error: book book0003: {book}: line 1: cannot decode text as UTF-8" in err
         assert not (tmp_path / "m.bpmd").exists()
 
 
@@ -812,8 +837,21 @@ class TestConfigHandling:
             "--config", str(cfg),
         )
         assert code == 1
-        assert err.startswith(f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xe9")
+        assert err.startswith(f"error: {cfg}: line 2: cannot decode text as UTF-8 "
+                              "('utf-8' codec can't decode byte 0xe9")
         assert not (tmp_path / "m.bpmd").exists()
+
+    def test_config_lines_end_only_at_newline(self, tmp_path):
+        # A form feed, NEL (U+0085) or U+2028 is inside a line, as read_text counts lines.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=2\x0cseed=3\nbatch_size=8\nfoo\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            _parse_config_file(cfg)
+        assert str(info.value) == f"{cfg}: line 3: expected key=value, got 'foo'"
+        cfg.write_text("epochs=2\x85seed=9 encoder.dim=64\n", encoding="utf-8")
+        assert _parse_config_file(cfg) == {"epochs": "2\x85seed=9 encoder.dim=64"}
+        cfg.write_bytes(b"epochs=2\r\nencoder.dim=64\r\n")
+        assert _parse_config_file(cfg) == {"epochs": "2", "encoder.dim": "64"}
 
     def test_flags_win_over_config_file(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -27,6 +27,7 @@ from bookpred.embedding import (
     csv_lines,
     encode_hashed_bow,
     load_embeddings,
+    read_text,
     write_embeddings,
 )
 from bookpred.textstats import tokenize_sentences
@@ -240,6 +241,37 @@ def test_csv_lines_are_the_lines_csv_writer_writes():
     lines = list(csv_lines(["h1", "h2"], iter(rows)))
     assert len(lines) == 4 and all(line.endswith(b"\r\n") for line in lines)
     assert b"".join(lines) == expected.getvalue().encode("utf-8")
+
+
+class TestReadText:
+    def test_newlines_are_kept_or_read_as_path_read_text_reads_them(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\n\r\r\nZoë\u2028\x85".encode("utf-8"))
+        assert read_text(path) == path.read_bytes().decode("utf-8")
+        assert read_text(path, universal_newlines=True) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            pytest.param(b"\xff", 1, id="first-byte"),
+            pytest.param(b"one\r\ntwo\rthree\n\nfo\xe9ur\n", 4, id="crlf-and-lone-cr"),
+            pytest.param("\u2028\x85\x0c\n".encode() + b"\xc3", 2, id="cut-character"),
+            pytest.param(b"x\n" * 5000 + b"\xed\xa0\x80", 5001, id="surrogate-past-8k"),
+        ],
+    )
+    def test_a_bad_byte_names_the_file_and_its_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        for universal in (False, True):
+            with pytest.raises(ValueError) as info:
+                read_text(path, universal_newlines=universal)
+            assert str(info.value).startswith(
+                f"{path}: line {line}: cannot decode text as UTF-8 ('utf-8' codec can't decode"
+            )
+
+    def test_a_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "none.txt")
 
 
 class TestChunkAverage:

@@ -1,5 +1,5 @@
 """Fuzzed inputs: truncated, bit-flipped and garbage bytes given to the
-four file readers, random JSON in a checkpoint's metadata, and random
+six file readers, random JSON in a checkpoint's metadata, and random
 strings given to every config key raise only their documented error
 classes, and the CLI exits 1 on them."""
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bookpred import cli, net, pipeline
 from bookpred.corpus import BookRecord, Genre, ManifestError, SectionSpec, SuccessLabel, load_corpus
-from bookpred.embedding import SembError, load_embeddings, write_embeddings
+from bookpred.embedding import SembError, load_embeddings, read_text, write_embeddings
 from bookpred.net import CheckpointError, ModelConfig
 from bookpred.pipeline import EncoderConfig, TrainConfig
 from bookpred.readability import ReadabilityScaler
@@ -31,6 +31,13 @@ MANIFEST = (
     "b,Poetry,,3,Unsuccessful,texts/b.txt\n"
     '"c, quoted",Drama,2.0,0,Unsuccessful,"c\n.txt"\n'
 )
+
+PREDS = (
+    "book_id,gold,pred,p_successful\n"
+    "a,Successful,Successful,0.9\n"
+    '"b, quoted",Unsuccessful,Successful,0.6\n'
+)
+CONFIG = "# run.cfg\nepochs=2\r\nencoder.dim=64\n\nsection = first:9\n"
 
 # Metadata nested deeper than the JSON decoder's recursion limit.
 DEEP_META = b"[" * 100_000
@@ -69,6 +76,8 @@ def _valid_files() -> dict[str, bytes]:
             "bpmd": (root / "m.bpmd").read_bytes(),
             "csv": MANIFEST.encode("utf-8"),
             "store": store.getvalue().encode("utf-8"),
+            "preds": PREDS.encode("utf-8"),
+            "config": CONFIG.encode("utf-8"),
         }
 
 
@@ -77,7 +86,9 @@ READERS = {
     "semb": (load_embeddings, SembError),
     "bpmd": (net.load_checkpoint, CheckpointError),
     "csv": (load_corpus, ManifestError),
-    "store": (lambda path: pipeline._parse_store(path, path.read_bytes()), ValueError),
+    "store": (lambda path: pipeline._parse_store(path, read_text(path)), ValueError),
+    "preds": (cli._read_predictions, ValueError),
+    "config": (cli._parse_config_file, cli.ConfigError),
 }
 
 

@@ -7,9 +7,9 @@ ones and a copy of each with “curly quotes” and ’ apostrophes, so that the
 text is not pure ASCII. For each set, at ``full`` and at ``first:1000``, it
 times, through the public API only:
 
-* ``segment+tokenize``: read the book, segment its section with
-  ``textstats.split_sentences`` and ``corpus.select_section``, and tokenize
-  it, as featurization does;
+* ``segment+tokenize``: read the book with ``embedding.read_text``,
+  segment its section with ``textstats.split_sentences`` and
+  ``corpus.select_section``, and tokenize it, as featurization does;
 * ``counts``: ``textstats.counts_from_sentences`` on those tokens, as
   the hashed encoder's featurization counts;
 * ``counts-bytes``: ``Sentences.counts`` on the segmented section (segmented
@@ -83,6 +83,7 @@ from bookpred.corpus import (  # noqa: E402
 from bookpred.embedding import (  # noqa: E402
     csv_lines,
     encode_hashed_bow,
+    read_text,
     write_atomically,
     write_embeddings,
 )
@@ -153,7 +154,7 @@ def time_stages(records: list, section: SectionSpec, repeats: int) -> dict[str, 
         totals = dict.fromkeys(seconds, 0.0)
         for record in records:
             t0 = time.perf_counter()
-            text = record.text_path.read_text(encoding="utf-8")
+            text = read_text(record.text_path, universal_newlines=True)
             sentences = select_section(split_sentences(text, first), section)
             tokens = sentences.tokens()
             t1 = time.perf_counter()
